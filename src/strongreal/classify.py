@@ -34,22 +34,10 @@ UNKNOWN = "Unknown"
 
 RULE_REALITY = "reality"
 RULE_MAIN = "MainThm"
-RULE_TWO = "TwoLemma"
 RULE_REAL2 = "Real2"
 RULE_NS2_1 = "notstrong2-1"
 RULE_NS2_2 = "notstrong2-2"
 RULE_SPCOR = "SpCor"
-
-RULES = (
-    RULE_MAIN,
-    RULE_TWO,
-    RULE_REAL2,
-    RULE_NS2_1,
-    RULE_NS2_2,
-    RULE_SPCOR,
-    RULE_REALITY,
-)
-
 
 @dataclass(frozen=True)
 class Verdict:

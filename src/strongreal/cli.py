@@ -29,7 +29,7 @@ from .counting import (
 )
 from .errors import BudgetExceededError, EnumerationBoundError, StrongRealError
 from .fields import make_context, prime_power
-from .oracle import Budgets, identity_form, realize_class, reconcile
+from .oracle import DEFAULT_BUDGETS, Budgets, identity_form, realize_class, reconcile
 
 
 class UsageError(Exception):
@@ -157,11 +157,11 @@ def _cmd_series(args) -> int:
 
 def _cmd_realize(args) -> int:
     q = prime_power(args.q)
+    budgets = _budgets(args)
     with open(args.datum) as fh:
         datum = datum_from_json(json.load(fh))
     if datum.q != q:
         raise UsageError("datum file is for a different q")
-    budgets = _budgets(args)
     form = identity_form(datum.n, q)
     g = realize_class(datum, form, budgets)
     ctx = make_context(q, 2)
@@ -197,10 +197,11 @@ def _cmd_verify(args) -> int:
 
 
 def _budgets(args) -> Budgets:
-    budgets = Budgets.from_env()
-    if getattr(args, "budget", None):
-        budgets = Budgets.uniform(args.budget)
-    return budgets
+    if args.budget is None:
+        return DEFAULT_BUDGETS
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    return Budgets.uniform(args.budget)
 
 
 def build_parser() -> _Parser:
@@ -239,13 +240,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("realize", help="matrix representative of a datum")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--datum", required=True, help="JSON datum file")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="cap on every search budget (>= 1)")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="brute-force reconciliation")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="override search budgets")
+    p.add_argument("--budget", type=int, help="cap on every search budget (>= 1)")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
     p.add_argument("--format", choices=("json", "plain"), default="json")
     p.set_defaults(func=_cmd_verify)

@@ -461,10 +461,7 @@ def _build_exp_table(ctx: FieldCtx, g: int):
     """Powers of g as packed ints; numpy block doubling for big groups."""
     n = ctx.size - 1
     if n > 20000:
-        try:
-            return _build_exp_table_numpy(ctx, g)
-        except ImportError:
-            pass
+        return _build_exp_table_numpy(ctx, g)
     exp = [0] * n
     cur = 1
     for i in range(n):

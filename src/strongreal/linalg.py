@@ -18,10 +18,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def mat_mul(F: GFTable, A: Matrix, B: Matrix) -> Matrix:
     mul = F.mul
     add = F.add
@@ -39,46 +35,13 @@ def mat_mul(F: GFTable, A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_add(F: GFTable, A: Matrix, B: Matrix) -> Matrix:
-    add = F.add
-    return tuple(
-        tuple(add[a][b] for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_scale(F: GFTable, c: int, A: Matrix) -> Matrix:
-    row = F.mul[c]
-    return tuple(tuple(row[a] for a in r) for r in A)
-
-
-def mat_neg(F: GFTable, A: Matrix) -> Matrix:
-    neg = F.neg
-    return tuple(tuple(neg[a] for a in r) for r in A)
-
-
 def transpose(A: Matrix) -> Matrix:
     return tuple(zip(*A))
-
-
-def conj_matrix(F: GFTable, A: Matrix) -> Matrix:
-    conj = F.conj
-    return tuple(tuple(conj[a] for a in r) for r in A)
 
 
 def conj_transpose(F: GFTable, A: Matrix) -> Matrix:
     conj = F.conj
     return tuple(tuple(conj[a] for a in col) for col in zip(*A))
-
-
-def mat_pow(F: GFTable, A: Matrix, k: int) -> Matrix:
-    out = identity(len(A))
-    base = A
-    while k:
-        if k & 1:
-            out = mat_mul(F, out, base)
-        base = mat_mul(F, base, base)
-        k >>= 1
-    return out
 
 
 def _eliminate(F: GFTable, rows):

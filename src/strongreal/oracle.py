@@ -11,7 +11,6 @@ into a verdict.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -54,14 +53,6 @@ class Budgets:
     group_order: int = 2 * 10**6   # cap on materialized group order
     reversing_scan: int = 10**7    # cap on reversing-space candidates
     realize_scan: int = 200_000    # cap on invariant-form search candidates
-
-    @staticmethod
-    def from_env() -> "Budgets":
-        """Default budgets; STRONGREAL_BUDGET, if set, caps all of them."""
-        raw = os.environ.get("STRONGREAL_BUDGET")
-        if not raw:
-            return Budgets()
-        return Budgets.uniform(int(raw))
 
     @staticmethod
     def uniform(value: int) -> "Budgets":
@@ -308,9 +299,11 @@ def _closure_elements(F: GFTable, n: int, q: PrimePower, budgets: Budgets):
         raise BudgetExceededError(
             f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
         )
-    u2 = _entrywise_elements(F, 2, identity(2))
+    # embedded U(2) blocks; at n = 1 no such block fits and U(1) itself is used
+    b = min(n, 2)
+    u2 = _entrywise_elements(F, b, identity(b))
     u2_gens = _greedy_generators(F, u2)
-    gens = [_embed_block(n, g, pos) for pos in range(n - 1) for g in u2_gens]
+    gens = [_embed_block(n, g, pos) for pos in range(n - b + 1) for g in u2_gens]
     elements = _closure(F, {identity(n)}, gens)
     if len(elements) != predicted and n > 2 and q.q ** 18 <= budgets.entry_scan:
         # q = 2 is special: U(2, F_2) is monomial, so 2x2 blocks only reach
@@ -320,11 +313,6 @@ def _closure_elements(F: GFTable, n: int, q: PrimePower, budgets: Budgets):
         extra = [_embed_block(n, g, pos) for pos in range(n - 2) for g in u3_gens]
         gens = gens + extra
         elements = _closure(F, elements | set(extra), gens)
-    if len(elements) != predicted:
-        # last resort: close over the whole seed set
-        seeds = _closure_seeds(F, n, u2)
-        elements = _closure(F, elements | seeds, sorted(seeds))
-        gens = sorted(seeds)
     if len(elements) != predicted:
         raise GroupClosureError(
             f"closure reached {len(elements)} elements, expected {predicted}"
@@ -808,19 +796,18 @@ def _scan_reversing_space(
     basis,
     n: int,
     gram: Matrix,
-    want,
-    collect: bool,
+    involution: bool,
     budget: int,
 ):
-    """Exhaustive scan of the reversing space.
+    """Exhaustive scan of the reversing space, yielding unitary members.
 
-    want = "involution": unitary h with h^2 = 1 (strong reality witnesses);
-    want = "unitary": any unitary h (reality witnesses).  Early-exits on the
-    first hit unless collect is set.
+    With involution set only those with h^2 = 1 (strong reality witnesses),
+    otherwise every nonzero one (reality witnesses).  Partial sums are kept
+    per basis vector, so each candidate costs one vector addition.
     """
     m = len(basis)
     if m == 0:
-        return []
+        return
     size = F.size
     total = size**m
     if total > budget:
@@ -849,42 +836,52 @@ def _scan_reversing_space(
                     return False
         return True
 
-    def unitary_ok(h):
-        hm = tuple(tuple(h[i * n + j] for j in range(n)) for i in range(n))
-        return is_unitary(F, hm, gram)
-
-    found = []
+    accept = involution_ok if involution else any
 
     def rec(i, partial):
-        if found and not collect:
-            return
         if i == 0:
-            row = scaled[0]
-            for v in range(size):
-                sb = row[v]
+            for sb in scaled[0]:
                 h = [add[partial[k]][sb[k]] for k in range(L)]
-                if want == "involution":
-                    if involution_ok(h) and unitary_ok(h):
-                        hm = tuple(tuple(h[a * n + b] for b in range(n)) for a in range(n))
-                        found.append(hm)
-                        if not collect:
-                            return
-                else:
-                    if any(h) and unitary_ok(h):
-                        hm = tuple(tuple(h[a * n + b] for b in range(n)) for a in range(n))
-                        found.append(hm)
-                        if not collect:
-                            return
+                if accept(h):
+                    hm = tuple(tuple(h[r : r + n]) for r in range(0, L, n))
+                    if is_unitary(F, hm, gram):
+                        yield hm
             return
-        row = scaled[i]
-        for v in range(size):
-            sb = row[v]
-            rec(i - 1, [add[partial[k]][sb[k]] for k in range(L)])
-            if found and not collect:
-                return
+        for sb in scaled[i]:
+            yield from rec(i - 1, [add[partial[k]][sb[k]] for k in range(L)])
 
-    rec(m - 1, [0] * L)
-    return found
+    yield from rec(m - 1, [0] * L)
+
+
+def _reversers(
+    g: Matrix,
+    form: HermitianForm,
+    group: GroupEnumeration | None,
+    budgets: Budgets,
+    involution: bool,
+):
+    """Unitary h with h g h^(-1) = g^(-1), lazily; only involutions if asked.
+
+    With a materialized group, filters its involutions or its elements;
+    otherwise scans the reversing space, raising BudgetExceededError before
+    the first candidate when the space is over budget.
+    """
+    F = table_for(form.q)
+    if group is None:
+        basis = reversing_space(F, g)
+        yield from _scan_reversing_space(
+            F, basis, len(g), form.gram, involution, budgets.reversing_scan
+        )
+        return
+    ginv = mat_inv(F, g)
+    if involution:
+        for s in group.involutions():
+            if mat_mul(F, mat_mul(F, s, g), s) == ginv:
+                yield s
+    else:
+        for h in group.elements:
+            if mat_mul(F, h, g) == mat_mul(F, ginv, h):
+                yield h
 
 
 def strong_reality_witnesses(
@@ -894,18 +891,7 @@ def strong_reality_witnesses(
     budgets: Budgets = DEFAULT_BUDGETS,
 ):
     """Every unitary involution s with s g s = g^(-1)."""
-    F = table_for(form.q)
-    if group is not None:
-        ginv = mat_inv(F, g)
-        return [
-            s
-            for s in group.involutions()
-            if mat_mul(F, mat_mul(F, s, g), s) == ginv
-        ]
-    basis = reversing_space(F, g)
-    return _scan_reversing_space(
-        F, basis, len(g), form.gram, "involution", True, budgets.reversing_scan
-    )
+    return list(_reversers(g, form, group, budgets, involution=True))
 
 
 def is_strongly_real_oracle(
@@ -919,17 +905,7 @@ def is_strongly_real_oracle(
     With a materialized group, scans its involutions; otherwise scans the
     reversing space.  Raises BudgetExceededError instead of guessing.
     """
-    F = table_for(form.q)
-    if group is not None:
-        ginv = mat_inv(F, g)
-        return any(
-            mat_mul(F, mat_mul(F, s, g), s) == ginv for s in group.involutions()
-        )
-    basis = reversing_space(F, g)
-    found = _scan_reversing_space(
-        F, basis, len(g), form.gram, "involution", False, budgets.reversing_scan
-    )
-    return bool(found)
+    return next(_reversers(g, form, group, budgets, involution=True), None) is not None
 
 
 def is_real_oracle(
@@ -939,17 +915,7 @@ def is_real_oracle(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> bool:
     """Search verdict: is g conjugate to its inverse within the group?"""
-    F = table_for(form.q)
-    if group is not None:
-        ginv = mat_inv(F, g)
-        return any(
-            mat_mul(F, h, g) == mat_mul(F, ginv, h) for h in group.elements
-        )
-    basis = reversing_space(F, g)
-    found = _scan_reversing_space(
-        F, basis, len(g), form.gram, "unitary", False, budgets.reversing_scan
-    )
-    return bool(found)
+    return next(_reversers(g, form, group, budgets, involution=False), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1056,11 +1022,27 @@ def _conjugation_orbits(F: GFTable, group: GroupEnumeration):
     return reps, orbit_id
 
 
-def reconcile(n: int, q, budgets: Budgets | None = None) -> OracleReport:
+def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Budgets):
+    """(real, strongly real) by reversing-space scans on a realized
+    representative; None wherever a budget ran out."""
+    try:
+        g = realize_class(datum, form, budgets)
+    except RealizationError:
+        return None, None  # budget too small to even realize
+    try:
+        oracle_sr = is_strongly_real_oracle(g, form, None, budgets)
+    except BudgetExceededError:
+        oracle_sr = None
+    try:
+        oracle_real = is_real_oracle(g, form, None, budgets)
+    except BudgetExceededError:
+        oracle_real = None
+    return oracle_real, oracle_sr
+
+
+def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     """One record per class: oracle reality and strong reality against the
     classifier.  Budget exhaustion is recorded per class, never skipped."""
-    if budgets is None:
-        budgets = Budgets.from_env()
     pp = q if isinstance(q, PrimePower) else prime_power(q)
     F = table_for(pp)
     started = time.perf_counter()
@@ -1070,65 +1052,34 @@ def reconcile(n: int, q, budgets: Budgets | None = None) -> OracleReport:
     except BudgetExceededError:
         group = None
 
-    records = []
     if group is not None:
         reps, orbit_id = _conjugation_orbits(F, group)
         assert len(orbit_id) == group.order
-        involutions = group.involutions()
-        for rep in reps:
-            datum = extract_class_datum(rep, pp)
-            ginv = mat_inv(F, rep)
-            oracle_real = orbit_id[ginv] == orbit_id[rep]
-            oracle_sr = any(
-                mat_mul(F, mat_mul(F, s, rep), s) == ginv for s in involutions
+        # reality from orbit ids: one lookup instead of a scan of the group
+        found = [
+            (
+                extract_class_datum(rep, pp),
+                orbit_id[mat_inv(F, rep)] == orbit_id[rep],
+                is_strongly_real_oracle(rep, form, group, budgets),
             )
-            records.append(
-                ClassRecord(
-                    datum,
-                    oracle_real,
-                    oracle_sr,
-                    classify.strongly_real(datum),
-                    datum_is_real(datum),
-                )
-            )
-        strategy = group.strategy
-        group_order = group.order
+            for rep in reps
+        ]
+        strategy, group_order = group.strategy, group.order
     else:
-        strategy = "representatives"
-        group_order = None
-        for datum in enumerate_class_data(n, pp, "all"):
-            try:
-                g = realize_class(datum, form, budgets)
-            except RealizationError:
-                # budget too small to even realize: fully undecided record
-                records.append(
-                    ClassRecord(
-                        datum,
-                        None,
-                        None,
-                        classify.strongly_real(datum),
-                        datum_is_real(datum),
-                    )
-                )
-                continue
-            try:
-                oracle_sr = is_strongly_real_oracle(g, form, None, budgets)
-            except BudgetExceededError:
-                oracle_sr = None
-            try:
-                oracle_real = is_real_oracle(g, form, None, budgets)
-            except BudgetExceededError:
-                oracle_real = None
-            records.append(
-                ClassRecord(
-                    datum,
-                    oracle_real,
-                    oracle_sr,
-                    classify.strongly_real(datum),
-                    datum_is_real(datum),
-                )
+        found = [
+            (datum, *_representative_verdicts(datum, form, budgets))
+            for datum in enumerate_class_data(n, pp, "all")
+        ]
+        strategy, group_order = "representatives", None
+    records = sorted(
+        (
+            ClassRecord(
+                datum, oracle_real, oracle_sr, classify.strongly_real(datum), datum_is_real(datum)
             )
-    records.sort(key=lambda r: [(f.sort_key(), mu.parts) for f, mu in r.datum.blocks])
+            for datum, oracle_real, oracle_sr in found
+        ),
+        key=lambda r: [(f.sort_key(), mu.parts) for f, mu in r.datum.blocks],
+    )
     elapsed = int((time.perf_counter() - started) * 1000)
     return OracleReport(
         n, pp, strategy, group_order, tuple(records), elapsed, budgets

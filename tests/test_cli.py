@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from strongreal.cli import main
 
 
@@ -189,3 +191,28 @@ def test_budget_exhaustion_exit_three(capsys):
     payload = json.loads(out)
     assert payload["undecided"] > 0
     assert payload["disagreements"] == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_below_one_is_a_usage_error(capsys, value):
+    # a zero budget used to fall back to the defaults silently, and a
+    # negative one starved every search
+    for verb in (["verify", "--n", "1"], ["realize", "--datum", "unused.json"]):
+        code, out, err = run(capsys, *verb, "--q", "3", "--budget", value)
+        assert code == 1
+        assert out == ""
+        assert "--budget" in err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_environment_does_not_set_budgets(monkeypatch, capsys, n):
+    # budgets come from --budget or the defaults, never from the environment
+    monkeypatch.setenv("STRONGREAL_BUDGET", "10")
+    code, out, _ = run(capsys, "verify", "--q", "3", "--n", str(n))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["undecided"] == 0
+    assert all(
+        r["is_real"] is not None and r["is_strongly_real"] is not None
+        for r in payload["records"]
+    )

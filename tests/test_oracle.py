@@ -234,6 +234,23 @@ def test_group_strategy_strong_reality():
     assert is_strongly_real_oracle(identity(2), form, group=grp) is True
 
 
+def test_group_and_scan_searches_agree_u23():
+    # every class of U(2, F_3): filtering the materialized group and scanning
+    # the reversing space must give the same verdicts and the same witnesses
+    grp = enumerate_group(2, PP3)
+    form = identity_form(2, PP3)
+    data = enumerate_class_data(2, PP3, "all")
+    assert len(data) == 16
+    for d in data:
+        g = realize_class(d, form)
+        assert is_real_oracle(g, form, group=grp) == is_real_oracle(g, form)
+        assert is_strongly_real_oracle(g, form, group=grp) == is_strongly_real_oracle(
+            g, form
+        )
+        by_group = strong_reality_witnesses(g, form, group=grp)
+        assert sorted(by_group) == sorted(strong_reality_witnesses(g, form))
+
+
 def test_budget_error_is_not_a_verdict():
     g, form = explicit_representative("two_one", PP3, r=1, m=1)
     with pytest.raises(BudgetExceededError):
