@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import classify
 from .classdata import (
@@ -24,6 +24,7 @@ from .classdata import (
 from .counting import enumerate_class_data
 from .errors import (
     BudgetExceededError,
+    CountMismatchError,
     GroupClosureError,
     RealizationError,
 )
@@ -149,19 +150,72 @@ def standard_forms(n: int, q: PrimePower) -> list[HermitianForm]:
 
 # ---------------------------------------------------------------------------
 # group enumeration
+#
+# The group path runs on row codes.  A row (r_0, ..., r_{n-1}) over GF(q^2)
+# is coded as the big-endian base-q^2 int sum r_j q^(2(n-1-j)), and a matrix
+# as the tuple of its row codes; tuples of codes sort like the matrices they
+# code.  Right multiplication by a fixed g is one table from row code to row
+# code, so x * g costs n lookups.  Closure records, for each generator, its
+# right-multiplication permutation of element indices; with the inverse
+# permutation these give conjugation, involutions and reversers without a
+# single matrix product per element.
+
+
+class _RowCodes:
+    """Row-code tables for n x n matrices over GF(q^2)."""
+
+    def __init__(self, F: GFTable, n: int):
+        self.F = F
+        self.rows = tuple(itertools.product(range(F.size), repeat=n))
+        self.code = {row: c for c, row in enumerate(self.rows)}
+        self.conj = [self.code[tuple(F.conj[a] for a in row)] for row in self.rows]
+        self.identity = self.encode(identity(n))
+
+    def encode(self, m: Matrix) -> tuple:
+        return tuple([self.code[row] for row in m])
+
+    def decode(self, x: tuple) -> Matrix:
+        return tuple([self.rows[c] for c in x])
+
+    def products(self, row_codes, g: Matrix) -> list:
+        """Codes of row * g for the given row codes, from one matrix product."""
+        rows = self.rows
+        return [self.code[row] for row in mat_mul(self.F, [rows[c] for c in row_codes], g)]
+
+    def table(self, g: Matrix) -> list:
+        """Row code -> code of (row * g), over every row."""
+        return self.products(range(len(self.rows)), g)
+
+    def adjoint(self, x: tuple) -> tuple:
+        """Code of the conjugate transpose."""
+        return tuple([self.conj[self.code[col]] for col in zip(*self.decode(x))])
+
+
+def _times(x: tuple, table: list) -> tuple:
+    """Code of x * g, for the table of g."""
+    return tuple([table[r] for r in x])
 
 
 @dataclass
 class GroupEnumeration:
-    """A fully materialized unitary group for a fixed form."""
+    """A fully materialized unitary group for a fixed form.
+
+    Besides the sorted elements it keeps what the searches run on: codes[i]
+    is the row code of elements[i] under codec, right[k][i] the index of
+    elements[i] * generators[k], and inverse[i] the index of elements[i]^(-1).
+    """
 
     form: HermitianForm
     elements: tuple
     generators: tuple
     strategy: str
+    codec: _RowCodes = field(repr=False, compare=False)
+    codes: tuple = field(repr=False, compare=False)
+    right: tuple = field(repr=False, compare=False)
+    inverse: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
-        self._set = frozenset(self.elements)
+        self._index = {x: i for i, x in enumerate(self.codes)}
         self._involutions = None
 
     @property
@@ -169,16 +223,56 @@ class GroupEnumeration:
         return len(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self._set
+        code = self.codec.code
+        return tuple([code.get(row) for row in g]) in self._index
+
+    def involution_indices(self) -> tuple:
+        """Indices of the s with s^2 = 1 (the identity included)."""
+        if self._involutions is None:
+            self._involutions = tuple(i for i, j in enumerate(self.inverse) if i == j)
+        return self._involutions
 
     def involutions(self):
-        if self._involutions is None:
-            F = table_for(self.form.q)
-            eye = identity(self.form.n)
-            self._involutions = tuple(
-                s for s in self.elements if mat_mul(F, s, s) == eye
-            )
-        return self._involutions
+        return tuple(self.elements[i] for i in self.involution_indices())
+
+    def reversers(self, g: Matrix, involution: bool):
+        """Elements h with h g h^(-1) = g^(-1), lazily and in sorted order;
+        only involutions if asked.  g must be an element."""
+        if g not in self:
+            raise ValueError("g is not an element of the group")
+        codes, index, inverse = self.codes, self._index, self.inverse
+        candidates = self.involution_indices() if involution else range(self.order)
+        # h g h^(-1) = g^(-1) iff (h g)(h^(-1) g) = 1; the candidates are
+        # closed under inversion, so only their rows need a product with g
+        rows = list({r for i in candidates for r in codes[i]})
+        table = dict(zip(rows, self.codec.products(rows, g)))
+        for i in candidates:
+            if inverse[index[_times(codes[i], table)]] == index[_times(codes[inverse[i]], table)]:
+                yield self.elements[i]
+
+
+def _sorted_group(form, codec, codes, generators, right, inverse, strategy):
+    """GroupEnumeration from coded elements in any order and their
+    permutations, re-indexed in sorted order."""
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+
+    def relabel(perm):
+        return tuple([rank[perm[old]] for old in order])
+
+    codes = tuple([codes[old] for old in order])
+    return GroupEnumeration(
+        form,
+        tuple(map(codec.decode, codes)),
+        tuple(generators),
+        strategy,
+        codec,
+        codes,
+        tuple(map(relabel, right)),
+        relabel(inverse),
+    )
 
 
 def _hermitian_dot(F: GFTable, u, J, v):
@@ -200,63 +294,93 @@ def _hermitian_dot(F: GFTable, u, J, v):
 
 
 def _entrywise_elements(F: GFTable, n: int, J: Matrix):
-    """All matrices with g* J g = J, built column by column with pruning."""
-    vectors = list(itertools.product(range(F.size), repeat=n))
+    """All matrices with g* J g = J, built column by column with pruning.
+
+    Column j is drawn from the vectors of J-norm J[j][j] only, filtered by
+    its prescribed product with each earlier column u through the row u* J.
+    """
+    add, mul, conj = F.add, F.mul, F.conj
+    by_norm: dict = {}
+    for v in itertools.product(range(F.size), repeat=n):
+        by_norm.setdefault(_hermitian_dot(F, v, J, v), []).append(v)
+
+    def pairing(u):
+        """v -> u* J v, through the multiplication rows of the entries of u* J."""
+        rows = []
+        for col in zip(*J):
+            acc = 0
+            for a, b in zip(u, col):
+                if a and b:
+                    acc = add[acc][mul[conj[a]][b]]
+            rows.append(mul[acc])
+
+        def value(v):
+            acc = 0
+            for m, b in zip(rows, v):
+                acc = add[acc][m[b]]
+            return acc
+
+        return value
+
     out = []
     cols: list = []
 
-    def rec(j):
+    def rec(j, pairings):
         if j == n:
             out.append(tuple(zip(*cols)))
             return
-        for v in vectors:
-            if _hermitian_dot(F, v, J, v) != J[j][j]:
-                continue
-            ok = True
-            for i in range(j):
-                if _hermitian_dot(F, cols[i], J, v) != J[i][j]:
-                    ok = False
-                    break
-            if ok:
-                cols.append(v)
-                rec(j + 1)
-                cols.pop()
+        candidates = by_norm.get(J[j][j], ())
+        for i, value in enumerate(pairings):
+            target = J[i][j]
+            candidates = [v for v in candidates if value(v) == target]
+        for v in candidates:
+            cols.append(v)
+            rec(j + 1, pairings + [pairing(v)])
+            cols.pop()
 
-    rec(0)
+    rec(0, [])
     return sorted(out)
 
 
-def _closure(F: GFTable, start, gens):
-    """Right-multiplication closure of start under gens."""
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(F, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def _closure(tables, start):
+    """Right-multiplication closure of the distinct coded elements start
+    under the generator tables, breadth first, with one index dict.
+
+    Returns (elements in discovery order, their index, and per table the
+    permutation i -> index of elements[i] * generator).
+    """
+    elements = list(start)
+    index = {x: i for i, x in enumerate(elements)}
+    right: list = [[] for _ in tables]
+    for x in elements:  # grows while it is scanned
+        for table, perm in zip(tables, right):
+            y = tuple([table[r] for r in x])  # _times, inlined in the hottest loop
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
+                elements.append(y)
+            perm.append(j)
+    return elements, index, right
 
 
-def _greedy_generators(F: GFTable, elements):
-    """Small deterministic generating set by greedy accumulation."""
-    target = len(elements)
-    n = len(elements[0])
+def _greedy_generators(codec: _RowCodes, group_elements):
+    """Small deterministic generating set of the group with these sorted
+    elements, by greedy accumulation; also returns the closure it reaches."""
+    target = len(group_elements)
     gens: list = []
-    have = {identity(n)}
-    for g in elements:
-        if g in have:
+    tables: list = []
+    elements, index, right = [codec.identity], {codec.identity: 0}, []
+    for g in group_elements:
+        x = codec.encode(g)
+        if x in index:
             continue
         gens.append(g)
-        have = _closure(F, have | {g}, gens)
-        if len(have) == target:
+        tables.append(codec.table(g))
+        elements, index, right = _closure(tables, elements + [x])
+        if len(elements) == target:
             break
-    assert len(have) == target
-    return tuple(gens)
+    assert len(elements) == target
+    return tuple(gens), (elements, index, right)
 
 
 def _embed_block(n: int, block: Matrix, pos: int) -> Matrix:
@@ -294,34 +418,42 @@ def _closure_seeds(F: GFTable, n: int, u2_elements):
 
 
 def _closure_elements(F: GFTable, n: int, q: PrimePower, budgets: Budgets):
+    """Row codes, generators and closure (see _closure) of U(n, F_q), identity form."""
     predicted = unitary_order(n, q.q)
     if predicted > budgets.group_order:
         raise BudgetExceededError(
             f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
         )
+    codec = _RowCodes(F, n)
     # embedded U(2) blocks; at n = 1 no such block fits and U(1) itself is used
     b = min(n, 2)
     u2 = _entrywise_elements(F, b, identity(b))
-    u2_gens = _greedy_generators(F, u2)
+    u2_gens, _ = _greedy_generators(_RowCodes(F, b), u2)
     gens = [_embed_block(n, g, pos) for pos in range(n - b + 1) for g in u2_gens]
-    elements = _closure(F, {identity(n)}, gens)
-    if len(elements) != predicted and n > 2 and q.q ** 18 <= budgets.entry_scan:
+    tables = [codec.table(g) for g in gens]
+    elements, index, right = _closure(tables, [codec.identity])
+    if len(elements) != predicted and n > 2:
         # q = 2 is special: U(2, F_2) is monomial, so 2x2 blocks only reach
         # the monomial subgroup; embedded 3x3 blocks repair that
+        if q.q ** 18 > budgets.entry_scan:
+            raise BudgetExceededError(
+                f"U(3, F_{q.q}) block scan size {q.q ** 18} exceeds budget {budgets.entry_scan}"
+            )
         u3 = _entrywise_elements(F, 3, identity(3))
-        u3_gens = _greedy_generators(F, u3)
+        u3_gens, _ = _greedy_generators(_RowCodes(F, 3), u3)
         extra = [_embed_block(n, g, pos) for pos in range(n - 2) for g in u3_gens]
-        gens = gens + extra
-        elements = _closure(F, elements | set(extra), gens)
+        gens += extra
+        tables += [codec.table(g) for g in extra]
+        elements, index, right = _closure(tables, elements)
     if len(elements) != predicted:
         raise GroupClosureError(
             f"closure reached {len(elements)} elements, expected {predicted}"
         )
     # the baseline seed set must sit inside the closure
     for seed in _closure_seeds(F, n, u2):
-        if seed not in elements:
+        if codec.encode(seed) not in index:
             raise GroupClosureError("seed matrix escaped the closure")
-    return sorted(elements), tuple(gens)
+    return codec, tuple(gens), (elements, index, right)
 
 
 def enumerate_group(
@@ -346,9 +478,17 @@ def enumerate_group(
         base = enumerate_group(n, pp, None, strategy, budgets)
         r = congruence_to_identity(F, form.gram)
         rinv = mat_inv(F, r)
-        elements = sorted(mat_mul(F, mat_mul(F, r, g), rinv) for g in base.elements)
+        # x -> r x r^(-1) as ((x r^(-1))* r*)*
+        codec = base.codec
+        t_rinv, t_rstar = codec.table(rinv), codec.table(conj_transpose(F, r))
+        codes = [
+            codec.adjoint(_times(codec.adjoint(_times(x, t_rinv)), t_rstar))
+            for x in base.codes
+        ]
         gens = tuple(mat_mul(F, mat_mul(F, r, g), rinv) for g in base.generators)
-        out = GroupEnumeration(form, tuple(elements), gens, base.strategy + "+transport")
+        out = _sorted_group(
+            form, codec, codes, gens, base.right, base.inverse, base.strategy + "+transport"
+        )
         assert out.order == base.order
         return out
 
@@ -370,17 +510,20 @@ def enumerate_group(
             raise BudgetExceededError(
                 f"entrywise scan size {entry_cost} exceeds budget {budgets.entry_scan}"
             )
-        elements = _entrywise_elements(F, n, form.gram)
-        gens = _greedy_generators(F, elements)
+        codec = _RowCodes(F, n)
+        gens, closure = _greedy_generators(codec, _entrywise_elements(F, n, form.gram))
     elif strategy == "closure":
-        elements, gens = _closure_elements(F, n, pp, budgets)
+        codec, gens, closure = _closure_elements(F, n, pp, budgets)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if len(elements) != predicted:
+    codes, index, right = closure
+    if len(codes) != predicted:
         raise GroupClosureError(
-            f"enumerated order {len(elements)} contradicts the formula {predicted}"
+            f"enumerated order {len(codes)} contradicts the formula {predicted}"
         )
-    return GroupEnumeration(form, tuple(elements), tuple(gens), strategy)
+    # x^(-1) = J^(-1) x* J is x* for the identity form
+    inverse = [index[codec.adjoint(x)] for x in codes]
+    return _sorted_group(form, codec, codes, gens, right, inverse, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -862,26 +1005,19 @@ def _reversers(
 ):
     """Unitary h with h g h^(-1) = g^(-1), lazily; only involutions if asked.
 
-    With a materialized group, filters its involutions or its elements;
-    otherwise scans the reversing space, raising BudgetExceededError before
-    the first candidate when the space is over budget.
+    With a materialized group, which must contain g, filters its involutions
+    or its elements; otherwise scans the reversing space, raising
+    BudgetExceededError before the first candidate when the space is over
+    budget.
     """
-    F = table_for(form.q)
-    if group is None:
-        basis = reversing_space(F, g)
-        yield from _scan_reversing_space(
-            F, basis, len(g), form.gram, involution, budgets.reversing_scan
-        )
+    if group is not None:
+        yield from group.reversers(g, involution)
         return
-    ginv = mat_inv(F, g)
-    if involution:
-        for s in group.involutions():
-            if mat_mul(F, mat_mul(F, s, g), s) == ginv:
-                yield s
-    else:
-        for h in group.elements:
-            if mat_mul(F, h, g) == mat_mul(F, ginv, h):
-                yield h
+    F = table_for(form.q)
+    basis = reversing_space(F, g)
+    yield from _scan_reversing_space(
+        F, basis, len(g), form.gram, involution, budgets.reversing_scan
+    )
 
 
 def strong_reality_witnesses(
@@ -996,30 +1132,31 @@ class OracleReport:
         return out
 
 
-def _conjugation_orbits(F: GFTable, group: GroupEnumeration):
-    """Partition of the group into conjugacy orbits, by generator BFS."""
-    n = group.form.n
-    gens = group.generators if n > 1 else ()
-    pairs = [(h, mat_inv(F, h)) for h in gens]
-    orbit_id: dict = {}
-    reps = []
-    for g in group.elements:
-        if g in orbit_id:
+def _conjugation_orbits(group: GroupEnumeration) -> list:
+    """Conjugacy orbit id of every element index, ids numbered in the order
+    of each orbit's first (smallest) element.
+
+    Conjugation by a generator h, x -> h^(-1) x h, is the index permutation
+    inverse . right_h . inverse . right_h; orbits are its connected components.
+    """
+    inverse = group.inverse
+    moves = [[inverse[r[inverse[ri]]] for ri in r] for r in group.right]
+    orbit = [-1] * group.order
+    count = 0
+    for start in range(group.order):
+        if orbit[start] >= 0:
             continue
-        oid = len(reps)
-        reps.append(g)
-        orbit_id[g] = oid
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h, hinv in pairs:
-                    y = mat_mul(F, mat_mul(F, h, x), hinv)
-                    if y not in orbit_id:
-                        orbit_id[y] = oid
-                        nxt.append(y)
-            frontier = nxt
-    return reps, orbit_id
+        orbit[start] = count
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for move in moves:
+                y = move[x]
+                if orbit[y] < 0:
+                    orbit[y] = count
+                    stack.append(y)
+        count += 1
+    return orbit
 
 
 def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Budgets):
@@ -1040,11 +1177,21 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
     return oracle_real, oracle_sr
 
 
+def _check_orbit_data(n: int, pp: PrimePower, data) -> None:
+    """The data read off the conjugacy orbits must be pairwise distinct and
+    be exactly the enumerated classes of U(n, F_q)."""
+    expected = set(enumerate_class_data(n, pp, "all", max_n=n, max_q=pp.q))
+    if len(set(data)) != len(data) or set(data) != expected:
+        raise CountMismatchError(
+            f"{len(data)} conjugacy orbits give {len(set(data))} distinct data, "
+            f"{len(set(data) & expected)} of the {len(expected)} enumerated classes"
+        )
+
+
 def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     """One record per class: oracle reality and strong reality against the
     classifier.  Budget exhaustion is recorded per class, never skipped."""
     pp = q if isinstance(q, PrimePower) else prime_power(q)
-    F = table_for(pp)
     started = time.perf_counter()
     form = identity_form(n, pp)
     try:
@@ -1053,17 +1200,20 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         group = None
 
     if group is not None:
-        reps, orbit_id = _conjugation_orbits(F, group)
-        assert len(orbit_id) == group.order
-        # reality from orbit ids: one lookup instead of a scan of the group
+        orbit = _conjugation_orbits(group)
+        reps: dict = {}
+        for i, oid in enumerate(orbit):
+            reps.setdefault(oid, i)
+        # reality from orbit ids: g^(-1) lies in the orbit of g
         found = [
             (
-                extract_class_datum(rep, pp),
-                orbit_id[mat_inv(F, rep)] == orbit_id[rep],
-                is_strongly_real_oracle(rep, form, group, budgets),
+                extract_class_datum(group.elements[i], pp),
+                orbit[group.inverse[i]] == oid,
+                is_strongly_real_oracle(group.elements[i], form, group, budgets),
             )
-            for rep in reps
+            for oid, i in reps.items()
         ]
+        _check_orbit_data(n, pp, [datum for datum, _, _ in found])
         strategy, group_order = group.strategy, group.order
     else:
         found = [

@@ -193,6 +193,17 @@ def test_budget_exhaustion_exit_three(capsys):
     assert payload["disagreements"] == 0
 
 
+def test_closure_repair_over_budget_falls_back(capsys):
+    # U(4, F_2) fits the order budget, but its closure needs the 3x3-block
+    # repair, whose 2^18-candidate scan does not fit: that is a budget
+    # shortfall, so verify falls back to the representatives path
+    code, out, _ = run(
+        capsys, "verify", "--q", "2", "--n", "4", "--budget", "100000", "--format", "plain"
+    )
+    assert code == 3
+    assert out == "U(4, F_2): 60 classes, 0 disagreements, 4 undecided (representatives)\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_budget_below_one_is_a_usage_error(capsys, value):
     # a zero budget used to fall back to the defaults silently, and a

@@ -357,6 +357,13 @@ def test_closure_repair_for_q2():
     assert grp.elements == enumerate_group(3, PP2, strategy="entrywise").elements
 
 
+def test_closure_repair_over_budget_is_a_budget_error():
+    # the 3x3-block repair scans 2^18 candidates; a smaller entry budget is a
+    # budget shortfall, not a wrong closure
+    with pytest.raises(BudgetExceededError):
+        enumerate_group(3, PP2, strategy="closure", budgets=Budgets(entry_scan=10**5))
+
+
 @pytest.mark.stretch
 def test_reconcile_u42_full_group():
     # every partition of 4 is decided by the even-q rules, so this is a
