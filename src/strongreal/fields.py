@@ -19,10 +19,8 @@ from functools import lru_cache
 
 from .errors import EnumerationBoundError, ExtensionTooLargeError, ZeroInputError
 
-DEFAULT_BIT_CAP = 64
-
-# Multiplicative groups larger than this never get exp/log tables.
-EXP_TABLE_LIMIT = 2_000_000
+# Largest extension GF(p^deg) a context accepts, as deg * bit length of p.
+EXTENSION_BIT_CAP = 64
 
 # Table-based field layers stay tiny; guard against misuse.
 TABLE_SIZE_LIMIT = 4096
@@ -211,13 +209,13 @@ class FieldCtx:
     vector with respect to the power basis of the modulus.
     """
 
-    def __init__(self, pp: PrimePower, k: int, bit_cap: int = DEFAULT_BIT_CAP):
+    def __init__(self, pp: PrimePower, k: int):
         if k < 1:
             raise ValueError("extension degree must be positive")
         deg = pp.e * k
-        if deg * pp.p.bit_length() > bit_cap:
+        if deg * pp.p.bit_length() > EXTENSION_BIT_CAP:
             raise ExtensionTooLargeError(
-                f"GF({pp.p}^{deg}) exceeds the {bit_cap}-bit extension cap"
+                f"GF({pp.p}^{deg}) exceeds the {EXTENSION_BIT_CAP}-bit extension cap"
             )
         self.pp = pp
         self.k = k
@@ -233,8 +231,6 @@ class FieldCtx:
             cur = self._times_t(cur)
         self._red = red
         self._powers = tuple(self.p**i for i in range(deg + 1))
-        self._exp = None
-        self._log = None
         self._gen = None
         self._sub_maps = {}
 
@@ -295,9 +291,6 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            q1 = self.size - 1
-            return self._exp[(self._log[a] + self._log[b]) % q1]
         ca = self.to_coords(a)
         cb = self.to_coords(b)
         p = self.p
@@ -369,18 +362,23 @@ class FieldCtx:
                 return g
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
-    def exp_log(self):
-        """exp table (index -> packed) and log dict (packed -> index)."""
-        if self._exp is None:
-            if self.size - 1 > EXP_TABLE_LIMIT:
-                raise EnumerationBoundError(
-                    f"multiplicative group of size {self.size - 1} exceeds "
-                    f"the exp table limit {EXP_TABLE_LIMIT}"
-                )
-            g = self.generator()
-            self._exp = _build_exp_table(self, g)
-            self._log = {v: i for i, v in enumerate(self._exp)}
-        return self._exp, self._log
+    def exp_log(self, order: int):
+        """Powers h^0 .. h^(order-1) of h = generator^((size-1)/order) and
+        their log dict (packed -> index).
+
+        order must divide size - 1; h then generates the cyclic subgroup of
+        that order.  Built on every call: callers keep what they derive from
+        it, not the tables.
+        """
+        h = self.pow(self.generator(), (self.size - 1) // order)
+        exp = [0] * order
+        cur = 1
+        for i in range(order):
+            exp[i] = cur
+            cur = self.mul(cur, h)
+        if cur != 1:
+            raise AssertionError("generator order mismatch")
+        return exp, {v: i for i, v in enumerate(exp)}
 
     # -- subfields -----------------------------------------------------------
 
@@ -423,15 +421,10 @@ class FieldCtx:
         if sub.deg == 1:
             # base modulus is t itself; its root is 0
             return 0
-        order = self.p**sub.deg - 1
-        if self.size > 1 << 16:
-            # avoid a full scan: roots lie in the order-(p^sdeg - 1) subgroup
-            exp, _ = self.exp_log()
-            step = (self.size - 1) // order
-            candidates = sorted(exp[i * step] for i in range(order))
-        else:
-            candidates = range(1, self.size)
-        roots = [a for a in candidates if self._eval_base_poly(sub.modulus, a) == 0]
+        # the roots are nonzero elements of the copy of sub, whose
+        # multiplicative group is the order-(p^sub.deg - 1) subgroup
+        exp, _ = self.exp_log(self.p**sub.deg - 1)
+        roots = [a for a in exp if self._eval_base_poly(sub.modulus, a) == 0]
         if not roots:
             raise AssertionError("subfield modulus always has a root here")
         return min(roots)
@@ -457,48 +450,10 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.deg}), k={self.k})"
 
 
-def _build_exp_table(ctx: FieldCtx, g: int):
-    """Powers of g as packed ints; numpy block doubling for big groups."""
-    n = ctx.size - 1
-    if n > 20000:
-        return _build_exp_table_numpy(ctx, g)
-    exp = [0] * n
-    cur = 1
-    for i in range(n):
-        exp[i] = cur
-        cur = ctx.mul(cur, g)
-    if cur != 1:
-        raise AssertionError("generator order mismatch")
-    return exp
-
-
-def _build_exp_table_numpy(ctx: FieldCtx, g: int):
-    import numpy as np
-
-    p, deg, n = ctx.p, ctx.deg, ctx.size - 1
-    block = np.zeros((1, deg), dtype=np.int64)
-    block[0, 0] = 1
-    length = 1
-    while length < n:
-        step = ctx.pow(g, length)
-        # multiplication by the fixed element `step` is GF(p)-linear;
-        # row j of mat holds the coords of step * t^j
-        mat = np.zeros((deg, deg), dtype=np.int64)
-        for j in range(deg):
-            mat[j, :] = ctx.to_coords(ctx.mul(step, ctx._powers[j]))
-        take = min(length, n - length)
-        nxt = (block[:take] @ mat) % p
-        block = np.concatenate([block, nxt], axis=0)
-        length = block.shape[0]
-    radix = np.array([p**i for i in range(deg)], dtype=np.int64)
-    packed = block @ radix
-    return packed.tolist()
-
-
 @lru_cache(maxsize=None)
-def make_context(pp: PrimePower, k: int, bit_cap: int = DEFAULT_BIT_CAP) -> FieldCtx:
+def make_context(pp: PrimePower, k: int) -> FieldCtx:
     """Context for GF(q^k) with the deterministic lex-smallest modulus."""
-    return FieldCtx(pp, k, bit_cap)
+    return FieldCtx(pp, k)
 
 
 # ---------------------------------------------------------------------------

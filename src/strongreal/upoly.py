@@ -172,23 +172,25 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
     q = pp.q
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
-    exp, _log = host.exp_log()
-    q1 = host.size - 1
-    step = (-q) % q1
+    # roots satisfy a^((-q)^d) = a, so they lie in the cyclic subgroup of
+    # order q^d - (-1)^d; orbits are taken over its exponents, e -> e*(-q)
+    order = q**d - (-1) ** d
+    exp, _ = host.exp_log(order)
+    step = (-q) % order
     down = host.subfield_map(ctx2)
-    visited = bytearray(q1)
+    visited = bytearray(order)
     polys = []
     covered = 0
-    for i in range(q1):
+    for i in range(order):
         if visited[i]:
             continue
         orbit = [i]
         visited[i] = 1
-        j = (i * step) % q1
+        j = (i * step) % order
         while j != i:
             visited[j] = 1
             orbit.append(j)
-            j = (j * step) % q1
+            j = (j * step) % order
         covered += len(orbit)
         if len(orbit) != d:
             continue
@@ -207,7 +209,7 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
         small = tuple(down[c] for c in coeffs[:-1])
         rep = min(exp[idx] for idx in orbit)
         polys.append(UIrreducible(MonicPoly(ctx2, small), d, rep))
-    assert covered == q1, "orbit scan must partition the nonzero elements"
+    assert covered == order, "orbit scan must partition the subgroup"
     result = tuple(sorted(polys, key=lambda u: u.sort_key()))
     per_q[d] = result
     lookup = _LOOKUP.setdefault(key, {})
@@ -314,12 +316,7 @@ def count_self_conjugate(deg: int, q: PrimePower, constant_one_only: bool = Fals
     return qq ** (deg // 2) + qq ** ((deg - 1) // 2)
 
 
-def enumerate_self_conjugate(
-    deg: int,
-    q: PrimePower,
-    constant_one_only: bool = False,
-    bound: int = SELF_CONJ_ENUM_BOUND,
-):
+def enumerate_self_conjugate(deg: int, q: PrimePower, constant_one_only: bool = False):
     """Exhaustive list of self-conjugate monic polynomials over GF(q).
 
     With constant_one_only the list realizes the even-degree-and-constant-1
@@ -333,9 +330,9 @@ def enumerate_self_conjugate(
         return [poly_one(ctx2)]
     if constant_one_only and deg % 2:
         return []
-    if q.q**deg > bound:
+    if q.q**deg > SELF_CONJ_ENUM_BOUND:
         raise EnumerationBoundError(
-            f"q^deg = {q.q**deg} exceeds the enumeration bound {bound}"
+            f"q^deg = {q.q**deg} exceeds the enumeration bound {SELF_CONJ_ENUM_BOUND}"
         )
     F = table_for(q, 2)
     base = F.base_elems

@@ -1,9 +1,14 @@
 """Command line interface: verbs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongreal
 from strongreal.cli import main
 
 
@@ -99,6 +104,23 @@ def test_list_stream(capsys):
     for line in lines:
         datum = json.loads(line)
         assert datum["n"] == 1
+
+
+def test_list_runs_without_numpy():
+    # GF(4^10), the host field of the degree-5 scan, needs no numpy
+    script = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from strongreal.cli import main; "
+        "sys.exit(main(['list', '--q', '4', '--n', '5']))"
+    )
+    src = str(Path(strongreal.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1935
 
 
 def test_series(capsys):

@@ -112,6 +112,15 @@ def test_enumerate_class_data_bounds():
         enumerate_class_data(2, PP3, "bogus")
 
 
+def test_enumeration_guard_holds_at_q5_n5():
+    # raises CountMismatchError on any K, R or T disagreement up to n = 5
+    cross_check_counts(5, PP5)
+
+
+def test_enumeration_guard_holds_at_q3_n7():
+    assert len(enumerate_class_data(7, PP3)) == series_K(PP3, 7).coefficient(7)
+
+
 def test_datum_count_equals_series_coefficient():
     # the set of valid class data of weight n is counted by the K series
     for n in range(0, 5):

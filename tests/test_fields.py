@@ -198,12 +198,18 @@ def test_context_json():
 def test_exp_log_consistency():
     for pp, k in ((PP3, 2), (PP2, 4), (PP5, 2)):
         ctx = make_context(pp, k)
-        exp, log = ctx.exp_log()
+        exp, log = ctx.exp_log(ctx.size - 1)
         assert len(exp) == ctx.size - 1
         assert sorted(exp) == list(range(1, ctx.size))
         for i in (0, 1, 2, len(exp) - 1):
             assert log[exp[i]] == i
         assert ctx.mul(exp[1], exp[len(exp) - 1]) == exp[0] == 1
+    # a proper subgroup: the order-28 subgroup of GF(3^6)*
+    ctx = make_context(PP3, 6)
+    exp, log = ctx.exp_log(28)
+    assert len(set(exp)) == len(exp) == 28
+    assert all(ctx.pow(a, 28) == 1 for a in exp)
+    assert all(log[a] == i for i, a in enumerate(exp))
 
 
 def test_subfield_map_is_field_embedding():

@@ -9,7 +9,7 @@ from strongreal.errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from strongreal.fields import PrimePower, make_context, table_for
+from strongreal.fields import PrimePower, make_context, prime_power, table_for
 from strongreal.upoly import (
     count_self_conjugate,
     enumerate_self_conjugate,
@@ -67,6 +67,18 @@ def test_degree_one_count_is_q_plus_one(pp):
     assert len(us) == pp.q + 1
 
 
+def root_product(ctx, roots):
+    """Coefficients of prod (t - r), low degree first, leading 1 included."""
+    coeffs = [1]
+    for r in roots:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = ctx.add(nxt[i + 1], c)
+            nxt[i] = ctx.add(nxt[i], ctx.mul(c, ctx.neg(r)))
+        coeffs = nxt
+    return coeffs
+
+
 def test_orbit_partition_covers_field():
     # union of orbits covers GF(q^(2d))^x exactly once, checked directly
     for pp, d in ((PP3, 1), (PP3, 2), (PP3, 3), (PP2, 2)):
@@ -90,14 +102,89 @@ def test_u_irreducible_polys_match_orbit_products():
             up = host.embed_from(make_context(pp, 2))
             orbit = u_orbit(host, u.orbit_rep)
             assert len(orbit) == d
-            coeffs = [1]
-            for root in orbit:
-                nxt = [0] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i + 1] = host.add(nxt[i + 1], c)
-                    nxt[i] = host.add(nxt[i], host.mul(c, host.neg(root)))
-                coeffs = nxt
-            assert [up[c] for c in u.poly.coeffs] == coeffs[:-1]
+            assert [up[c] for c in u.poly.coeffs] == root_product(host, orbit)[:-1]
+
+
+def reference_u_irreducibles(pp, d):
+    """(coeffs, orbit_rep) of every degree-d U-irreducible, sorted.
+
+    Partitions all of GF(q^(2d))* into orbits of u_frob and expands the
+    length-d ones; GF(q^2) sits in the host through its smallest root of the
+    GF(q^2) modulus, found by trying every element.  No exp tables.
+    """
+    ctx2 = make_context(pp, 2)
+    host = make_context(pp, 2 * d)
+    down = {a: a for a in range(host.size)}
+    if host is not ctx2:
+
+        def at(poly, a):
+            acc = 0
+            for c in reversed(poly):
+                acc = host.add(host.mul(acc, a), c)
+            return acc
+
+        root = min(a for a in range(1, host.size) if at(ctx2.modulus, a) == 0)
+        down = {at(ctx2.to_coords(y), root): y for y in range(ctx2.size)}
+    seen = bytearray(host.size)
+    out = []
+    for a in range(1, host.size):
+        if seen[a]:
+            continue
+        orbit = u_orbit(host, a)
+        for b in orbit:
+            seen[b] = 1
+        if len(orbit) != d:
+            continue
+        coeffs = root_product(host, orbit)[:-1]
+        out.append((tuple(down[c] for c in coeffs), min(orbit)))
+    return sorted(out)
+
+
+def prime_powers_up_to(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            out.append(prime_power(q))
+        except ValueError:
+            pass
+    return out
+
+
+# every (q, d) whose host field GF(q^(2d)) has at most 4096 elements
+SMALL_HOSTS = [
+    (pp, d)
+    for pp in prime_powers_up_to(64)
+    for d in range(1, 7)
+    if pp.q ** (2 * d) <= 4096
+]
+
+
+@pytest.mark.parametrize("pp, d", SMALL_HOSTS, ids=lambda v: str(getattr(v, "q", v)))
+def test_subgroup_scan_matches_full_field_orbits(pp, d):
+    got = [(u.poly.coeffs, u.orbit_rep) for u in enumerate_u_irreducibles(pp, d) if u.degree == d]
+    assert got == reference_u_irreducibles(pp, d)
+
+
+def mobius(n):
+    out = 1
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q, d, expected", [(2, 8, 30), (3, 7, 312), (4, 5, 204), (5, 5, 624)])
+def test_u_irreducible_count_formula(q, d, expected):
+    # (1/d) sum_{k | d} mu(d/k) (q^k - (-1)^k) monic U-irreducibles of degree d
+    total = sum(mobius(d // k) * (q**k - (-1) ** k) for k in range(1, d + 1) if d % k == 0)
+    assert total == expected * d
+    us = enumerate_u_irreducibles(prime_power(q), d)
+    assert sum(1 for u in us if u.degree == d) == expected
 
 
 def test_enumeration_sorted_and_coefficients_in_small_field():
