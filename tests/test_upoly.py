@@ -114,8 +114,9 @@ def reference_u_irreducibles(pp, d):
     """
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
-    down = {a: a for a in range(host.size)}
-    if host is not ctx2:
+    if host is ctx2:
+        down = {a: a for a in range(host.size)}
+    else:
 
         def at(poly, a):
             acc = 0
