@@ -259,16 +259,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
-    except EnumerationBoundError as exc:
+    except (BudgetExceededError, EnumerationBoundError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except StrongRealError as exc:

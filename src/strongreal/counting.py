@@ -257,19 +257,6 @@ class CountRow:
     series_real: int | None
     series_strongly_real: int | None
 
-    # agreed values, convenient aliases
-    @property
-    def all_classes(self) -> int:
-        return self.direct_all
-
-    @property
-    def real(self) -> int:
-        return self.direct_real
-
-    @property
-    def strongly_real(self) -> int | None:
-        return self.direct_strongly_real
-
     def to_json(self):
         return {
             "n": self.n,
@@ -300,8 +287,8 @@ class CountCrossCheck:
     def format_table(self) -> str:
         lines = ["n,K,R,T"]
         for r in self.rows:
-            t = "" if r.strongly_real is None else r.strongly_real
-            lines.append(f"{r.n},{r.all_classes},{r.real},{t}")
+            t = "" if r.direct_strongly_real is None else r.direct_strongly_real
+            lines.append(f"{r.n},{r.direct_all},{r.direct_real},{t}")
         return "\n".join(lines)
 
 

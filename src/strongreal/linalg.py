@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import ZeroInputError
 from .fields import GFTable
+from .upoly import padd, pmul, pscale
 
 Matrix = tuple
 
@@ -157,28 +158,8 @@ def charpoly(F: GFTable, A: Matrix):
     Laplace expansion over column subsets, fine for the small n used here.
     """
     n = len(A)
-    add, mul, neg = F.add, F.mul, F.neg
-
-    def padd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = add[out[i]][x]
-        return tuple(out)
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add[out[i + j]][row[y]]
-        return tuple(out)
-
-    def pneg(a):
-        return tuple(neg[x] for x in a)
+    neg = F.neg
+    minus_one = neg[1]
 
     # entry (i, j) of tI - A as a linear polynomial
     ent = [
@@ -194,8 +175,8 @@ def charpoly(F: GFTable, A: Matrix):
         row = n - len(cols)
         acc = (0,)
         for pos, j in enumerate(cols):
-            term = pmul(ent[row][j], det(mask & ~(1 << j)))
-            acc = padd(acc, term if pos % 2 == 0 else pneg(term))
+            term = pmul(F, ent[row][j], det(mask & ~(1 << j)))
+            acc = padd(F, acc, term if pos % 2 == 0 else pscale(F, minus_one, term))
         memo[mask] = acc
         return acc
 

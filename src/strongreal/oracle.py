@@ -43,7 +43,7 @@ from .linalg import (
     nullspace,
     transpose,
 )
-from .upoly import MonicPoly, factor_into_u_irreducibles
+from .upoly import MonicPoly, factor_into_u_irreducibles, poly_mul, poly_one
 
 
 @dataclass(frozen=True)
@@ -566,10 +566,10 @@ def extract_class_datum(g: Matrix, q) -> ClassDatum:
     return datum
 
 
-def _poly_at_matrix(F: GFTable, f, g: Matrix) -> Matrix:
+def _poly_at_matrix(F: GFTable, f: MonicPoly, g: Matrix) -> Matrix:
     """Evaluate a monic polynomial at a matrix (Horner)."""
     n = len(g)
-    coeffs = f.full() if isinstance(f, MonicPoly) else f
+    coeffs = f.full()
     acc = tuple(tuple(coeffs[-1] if i == j else 0 for j in range(n)) for i in range(n))
     add = F.add
     for c in reversed(coeffs[:-1]):
@@ -597,8 +597,6 @@ def _companion(F: GFTable, full_coeffs) -> Matrix:
 
 
 def _jordan_style_matrix(F: GFTable, d: ClassDatum) -> Matrix:
-    from .upoly import poly_one, poly_mul
-
     blocks = []
     ctx2 = make_context(d.q, 2)
     for f, mu in d.blocks:
@@ -614,82 +612,71 @@ def _jordan_style_matrix(F: GFTable, d: ClassDatum) -> Matrix:
 # invariant Hermitian forms and congruences
 
 
-def _prime_table(pp: PrimePower) -> GFTable:
-    return table_for(PrimePower(pp.p, 1), 1)
-
-
 def _invariant_hermitian_basis(pp: PrimePower, g0: Matrix):
-    """GF(p)-basis of Hermitian X with g0* X g0 = X."""
+    """GF(p)-basis of Hermitian X with g0* X g0 = X.
+
+    The kernel over GF(p) of X -> (g0* X g0 - X, X - X*) in coordinates.
+    Its column (k, l, j) is the image of X = p^j E_kl, the j-th coordinate
+    unit at entry (k, l), where g0* X g0 = p^j (column k of g0*)(row l of g0).
+    """
     F = table_for(pp)
-    Fp = _prime_table(pp)
-    ctx2 = make_context(pp, 2)
+    ctx2 = F.ctx
+    add, mul, neg, conj = F.add, F.mul, F.neg, F.conj
+    coords = [ctx2.to_coords(a) for a in range(F.size)]
     d2 = ctx2.deg
-    p = pp.p
     n = len(g0)
-    nvars = n * n * d2
-
-    basis_packed = [ctx2.from_coords(tuple(1 if t == j else 0 for t in range(d2))) for j in range(d2)]
-
-    def mult_block(s):
-        """d2 x d2 GF(p) matrix of y -> s*y in coordinates."""
-        cols = [ctx2.to_coords(ctx2.mul(s, b)) for b in basis_packed]
-        return [[cols[j][i] for j in range(d2)] for i in range(d2)]
-
-    conj_cols = [ctx2.to_coords(ctx2.conj(b)) for b in basis_packed]
-    conj_block = [[conj_cols[j][i] for j in range(d2)] for i in range(d2)]
-
     A = conj_transpose(F, g0)
-    rows = []
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            outer = [[mul[A[r][k]][x] for x in g0[l]] for r in range(n)]
+            for j in range(d2):
+                b = pp.p**j
+                image = [[mul[b][x] for x in row] for row in outer]
+                image[k][l] = add[image[k][l]][neg[b]]
+                sym = [[0] * n for _ in range(n)]
+                sym[k][l] = b
+                sym[l][k] = add[sym[l][k]][neg[conj[b]]]
+                cols.append([c for m in (image, sym) for row in m for x in row for c in coords[x]])
+    kernel = nullspace(table_for(PrimePower(pp.p, 1), 1), list(zip(*cols)))
+    return [
+        tuple(
+            tuple(ctx2.from_coords(vec[(k * n + l) * d2 : (k * n + l + 1) * d2]) for l in range(n))
+            for k in range(n)
+        )
+        for vec in kernel
+    ]
 
-    def var(k, l, j):
-        return (k * n + l) * d2 + j
 
-    # invariance: sum over k,l of A[r][k] B[l][c] X[k][l] = X[r][c]
-    for r in range(n):
-        for c in range(n):
-            block_rows = [[0] * nvars for _ in range(d2)]
-            for k in range(n):
-                ark = A[r][k]
-                if not ark:
-                    continue
-                for l in range(n):
-                    s = F.mul[ark][g0[l][c]]
-                    if not s:
-                        continue
-                    mb = mult_block(s)
-                    for i in range(d2):
-                        row = block_rows[i]
-                        for j in range(d2):
-                            if mb[i][j]:
-                                v = var(k, l, j)
-                                row[v] = (row[v] + mb[i][j]) % p
-            for i in range(d2):
-                v = var(r, c, i)
-                block_rows[i][v] = (block_rows[i][v] - 1) % p
-            rows.extend(block_rows)
-    # hermitian symmetry: X[r][c] = conj(X[c][r])
-    for r in range(n):
-        for c in range(n):
-            for i in range(d2):
-                row = [0] * nvars
-                row[var(r, c, i)] = (row[var(r, c, i)] + 1) % p
-                for j in range(d2):
-                    if conj_block[i][j]:
-                        v = var(c, r, j)
-                        row[v] = (row[v] - conj_block[i][j]) % p
-                rows.append(row)
-    kernel = nullspace(Fp, rows)
-    mats = []
-    for vec in kernel:
-        entries = []
-        for k in range(n):
-            row = []
-            for l in range(n):
-                coords = tuple(vec[var(k, l, j)] for j in range(d2))
-                row.append(ctx2.from_coords(coords))
-            entries.append(tuple(row))
-        mats.append(tuple(entries))
-    return mats
+def _span(F: GFTable, basis, coeffs):
+    """Every sum of c_i * basis[i] with each c_i in coeffs, as a flat list.
+
+    Counter order: the coefficient of basis[0] changes fastest and runs
+    through coeffs in order, so the zero combination comes first when
+    coeffs starts at 0.  One partial sum is kept per basis vector, so each
+    member costs about one vector addition.  basis must be non-empty.
+    """
+    add, mul = F.add, F.mul
+    scaled = [[[mul[c][x] for row in B for x in row] for c in coeffs] for B in basis]
+    m, last = len(basis), len(coeffs) - 1
+    digits = [0] * m
+    # partial[i] is the sum over j >= i of coeffs[digits[j]] * basis[j]
+    partial = [None] * m + [[0] * len(scaled[0][0])]
+    top = m
+    while True:
+        for i in range(top - 1, 0, -1):
+            partial[i] = [add[a][b] for a, b in zip(partial[i + 1], scaled[i][digits[i]])]
+        rest = partial[1]
+        for s in scaled[0]:
+            yield [add[a][b] for a, b in zip(rest, s)]
+        top = 1
+        while top < m and digits[top] == last:
+            digits[top] = 0
+            top += 1
+        if top == m:
+            return
+        digits[top] += 1
+        top += 1
 
 
 def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
@@ -698,26 +685,9 @@ def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
     if m == 0:
         raise RealizationError("invariant form space is zero")
     n = len(basis[0])
-    add, mul = F.add, F.mul
-    count = min(p**m, budget + 1)
-    for counter in range(1, count):
-        digits = []
-        x = counter
-        for _ in range(m):
-            digits.append(x % p)
-            x //= p
-        acc = [[0] * n for _ in range(n)]
-        for i, c in enumerate(digits):
-            if not c:
-                continue
-            B = basis[i]
-            for r in range(n):
-                row = acc[r]
-                Br = B[r]
-                for s in range(n):
-                    if Br[s]:
-                        row[s] = add[row[s]][mul[c][Br[s]]]
-        X = tuple(tuple(r) for r in acc)
+    # the packed ints 0 .. p-1 are the elements of GF(p)
+    for h in itertools.islice(_span(F, basis, range(p)), 1, min(p**m, budget + 1)):
+        X = tuple(tuple(h[r : r + n]) for r in range(0, n * n, n))
         if mat_det(F, X) != 0:
             return X
     raise RealizationError(
@@ -930,10 +900,6 @@ def reversing_space(F: GFTable, g: Matrix):
     return [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)) for vec in kernel]
 
 
-def _flat(mat: Matrix):
-    return tuple(x for row in mat for x in row)
-
-
 def _scan_reversing_space(
     F: GFTable,
     basis,
@@ -945,24 +911,18 @@ def _scan_reversing_space(
     """Exhaustive scan of the reversing space, yielding unitary members.
 
     With involution set only those with h^2 = 1 (strong reality witnesses),
-    otherwise every nonzero one (reality witnesses).  Partial sums are kept
-    per basis vector, so each candidate costs one vector addition.
+    otherwise every nonzero one (reality witnesses).  Candidates come from
+    _span in its counter order.
     """
     m = len(basis)
     if m == 0:
         return
-    size = F.size
-    total = size**m
+    total = F.size**m
     if total > budget:
         raise BudgetExceededError(
             f"reversing-space scan of {total} candidates exceeds budget {budget}"
         )
     add, mul = F.add, F.mul
-    scaled = [
-        [_flat(tuple(tuple(mul[c][x] for x in row) for row in B)) for c in range(size)]
-        for B in basis
-    ]
-    L = n * n
 
     def involution_ok(h):
         for rr in range(n):
@@ -980,20 +940,11 @@ def _scan_reversing_space(
         return True
 
     accept = involution_ok if involution else any
-
-    def rec(i, partial):
-        if i == 0:
-            for sb in scaled[0]:
-                h = [add[partial[k]][sb[k]] for k in range(L)]
-                if accept(h):
-                    hm = tuple(tuple(h[r : r + n]) for r in range(0, L, n))
-                    if is_unitary(F, hm, gram):
-                        yield hm
-            return
-        for sb in scaled[i]:
-            yield from rec(i - 1, [add[partial[k]][sb[k]] for k in range(L)])
-
-    yield from rec(m - 1, [0] * L)
+    for h in _span(F, basis, range(F.size)):
+        if accept(h):
+            hm = tuple(tuple(h[r : r + n]) for r in range(0, n * n, n))
+            if is_unitary(F, hm, gram):
+                yield hm
 
 
 def _reversers(

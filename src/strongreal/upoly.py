@@ -22,7 +22,7 @@ from .errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from .fields import FieldCtx, PrimePower, make_context, table_for
+from .fields import FieldCtx, GFTable, PrimePower, make_context, table_for
 
 SELF_CONJ_ENUM_BOUND = 10**7
 
@@ -76,36 +76,54 @@ def poly_from_json(ctx: FieldCtx, arr) -> MonicPoly:
     return MonicPoly(ctx, tuple(ctx.from_coords(tuple(v)) for v in arr))
 
 
+def padd(F: GFTable, a, b):
+    """Sum of two coefficient tuples (low degree first) over the table F."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = F.add
+    for i, x in enumerate(b):
+        out[i] = add[out[i]][x]
+    return tuple(out)
+
+
+def pmul(F: GFTable, a, b):
+    """Product of two coefficient tuples (low degree first) over the table F."""
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add[out[i + j]][row[y]]
+    return tuple(out)
+
+
+def pscale(F: GFTable, c: int, a):
+    """c times a coefficient tuple over the table F."""
+    row = F.mul[c]
+    return tuple(row[x] for x in a)
+
+
 def poly_mul(a: MonicPoly, b: MonicPoly) -> MonicPoly:
     if a.ctx is not b.ctx:
         raise ValueError("polynomials over different contexts")
-    F = table_for(a.ctx.pp, a.ctx.k)
-    fa, fb = a.full(), b.full()
-    out = [0] * (len(fa) + len(fb) - 1)
-    add, mul = F.add, F.mul
-    for i, x in enumerate(fa):
-        if x:
-            row = mul[x]
-            for j, y in enumerate(fb):
-                if y:
-                    out[i + j] = add[out[i + j]][row[y]]
+    out = pmul(table_for(a.ctx.pp, a.ctx.k), a.full(), b.full())
     assert out[-1] == 1
-    return MonicPoly(a.ctx, tuple(out[:-1]))
+    return MonicPoly(a.ctx, out[:-1])
 
 
 def poly_divmod(u: MonicPoly, f: MonicPoly):
-    """Divide u by monic f; returns (quotient MonicPoly or None, remainder).
-
-    The quotient is only a MonicPoly when the division is exact; otherwise
-    the raw (quotient coeffs, remainder coeffs) pair is returned.
+    """Divide u by monic f; returns (quotient, remainder) as coefficient
+    tuples, low degree first.  The quotient includes its leading 1 and the
+    remainder has no trailing zeros, so it is () when f divides u.
     """
     F = table_for(u.ctx.pp, u.ctx.k)
     add, mul, neg = F.add, F.mul, F.neg
     rem = list(u.full())
     df = f.degree
     ff = f.full()
-    if df == 0:
-        return u, ()
     quot = [0] * max(0, len(rem) - df)
     for top in range(len(rem) - 1, df - 1, -1):
         c = rem[top]

@@ -81,12 +81,12 @@ def test_criterion_2_counting_cross_check():
     with timer("2 (counting cross-check)", 30.0):
         for pp in (PP3, PP5):
             table = cross_check_counts(4, pp)  # raises on any mismatch
-            assert table.rows[1].strongly_real == 2  # T_1q = 2
+            assert table.rows[1].direct_strongly_real == 2  # T_1q = 2
             for note in table.notes:
                 print(f"  q={pp.q}: {note}")
         # stretch scale for q = 3
         t3 = cross_check_counts(6, PP3)
-        assert t3.rows[2].strongly_real == 4  # T_23 = 4
+        assert t3.rows[2].direct_strongly_real == 4  # T_23 = 4
         # documented discrepancy: displayed closed form vs coefficient path
         shown = displayed_series_T(PP3, 1).coefficient(1)
         used = series_T(PP3, 1).coefficient(1)

@@ -129,9 +129,9 @@ def test_datum_count_equals_series_coefficient():
 
 def test_cross_check_small():
     table = cross_check_counts(3, PP3)
-    assert [r.all_classes for r in table.rows] == [1, 4, 16, 56]
-    assert [r.real for r in table.rows] == [1, 2, 6, 12]
-    assert [r.strongly_real for r in table.rows] == [1, 2, 4, 8]
+    assert [r.direct_all for r in table.rows] == [1, 4, 16, 56]
+    assert [r.direct_real for r in table.rows] == [1, 2, 6, 12]
+    assert [r.direct_strongly_real for r in table.rows] == [1, 2, 4, 8]
     assert table.notes and "z^1" in table.notes[0]
     text = table.format_table()
     assert text.splitlines()[0] == "n,K,R,T"
@@ -140,8 +140,8 @@ def test_cross_check_small():
 
 def test_cross_check_even_q_k_only():
     table = cross_check_counts(3, PP2)
-    assert [r.all_classes for r in table.rows] == [1, 3, 9, 24]
-    assert all(r.strongly_real is None for r in table.rows)
+    assert [r.direct_all for r in table.rows] == [1, 3, 9, 24]
+    assert all(r.direct_strongly_real is None for r in table.rows)
 
 
 def test_count_row_json_carries_both_sides():
@@ -155,7 +155,7 @@ def test_count_row_json_carries_both_sides():
         "direct_R": 2,
         "direct_T": 2,
     }
-    assert (row.all_classes, row.real, row.strongly_real) == (4, 2, 2)
+    assert (row.direct_all, row.direct_real, row.direct_strongly_real) == (4, 2, 2)
 
 
 def test_iter_class_data_streams_lazily():

@@ -18,6 +18,7 @@ from strongreal.upoly import (
     is_self_conjugate,
     monic_poly,
     poly_divmod,
+    poly_exact_div,
     poly_mul,
     poly_one,
     tilde,
@@ -309,6 +310,14 @@ def test_poly_divmod_remainder():
         for j, bc in enumerate(b.full()):
             full[i + j] = F.add[full[i + j]][F.mul[qc][bc]]
     assert tuple(full[: a.degree + 1]) == a.full()
+
+
+def test_division_by_the_constant_one():
+    ctx = make_context(PP3, 2)
+    u = monic_poly(ctx, (2, 0, 1))  # t^3 + t^2 + 2
+    assert poly_divmod(u, poly_one(ctx)) == (u.full(), ())
+    assert poly_exact_div(u, poly_one(ctx)) == u
+    assert poly_exact_div(poly_one(ctx), poly_one(ctx)) == poly_one(ctx)
 
 
 def test_is_self_conjugate_examples():
