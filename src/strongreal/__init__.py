@@ -10,6 +10,7 @@ from .classdata import (
     Partition,
     SignedPartition,
     SymplecticClassDatum,
+    centralizer_order,
     class_datum,
     is_real,
     make_class_datum,

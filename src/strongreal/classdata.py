@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import DatumError, NegationUndefinedError
 from .fields import PrimePower, make_context
@@ -222,6 +223,24 @@ def is_real(d: ClassDatum) -> bool:
         if d.partition_at(tilde(f)) != mu:
             return False
     return True
+
+
+def centralizer_order(d: ClassDatum) -> int:
+    """|C(g)| for g in U(n, F_q) in the class of d, by Wall's formula.
+
+    Per U-irreducible f of degree k with partition mu and part multiplicities
+    m_i: (q^k)^(sum mu'_i^2 - sum m_i^2) times prod |U(m_i, q^k)| for odd k,
+    prod |GL(m_i, q^k)| for even k (f a product of two conjugate
+    irreducibles); both are Q^(m(m-1)/2) prod (Q^i - s^i), s = -1 or 1.
+    """
+    out = 1
+    for f, mu in d.blocks:
+        Q, s = d.q.q**f.degree, (-1) ** f.degree
+        mults = mu.multiplicities().values()
+        out *= Q ** (commutant_dim(mu) - sum(m * m for m in mults))
+        for m in mults:
+            out *= Q ** (m * (m - 1) // 2) * prod(Q**i - s**i for i in range(1, m + 1))
+    return out
 
 
 def star_decompose(d: ClassDatum) -> list[ClassDatum]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import classify
 from .classdata import (
     ClassDatum,
+    centralizer_order,
     class_datum,
     is_real as datum_is_real,
     partition,
@@ -31,6 +32,7 @@ from .errors import (
 from .fields import GFTable, PrimePower, make_context, prime_power, table_for
 from .linalg import (
     Matrix,
+    _eliminate,
     charpoly,
     conj_transpose,
     identity,
@@ -52,7 +54,7 @@ class Budgets:
 
     entry_scan: int = 10**8        # cap on q^(2 n^2) for entrywise filtering
     group_order: int = 2 * 10**6   # cap on materialized group order
-    reversing_scan: int = 10**7    # cap on reversing-space candidates
+    reversing_scan: int = 10**7    # cap on nodes of the unitary reverser search
     realize_scan: int = 200_000    # cap on invariant-form search candidates
 
     @staticmethod
@@ -648,20 +650,24 @@ def _invariant_hermitian_basis(pp: PrimePower, g0: Matrix):
     ]
 
 
-def _span(F: GFTable, basis, coeffs):
-    """Every sum of c_i * basis[i] with each c_i in coeffs, as a flat list.
+def _span(F: GFTable, basis, coeffs, start=None):
+    """Every sum start + c_i * basis[i] with each c_i in coeffs, as a flat list.
 
     Counter order: the coefficient of basis[0] changes fastest and runs
-    through coeffs in order, so the zero combination comes first when
-    coeffs starts at 0.  One partial sum is kept per basis vector, so each
-    member costs about one vector addition.  basis must be non-empty.
+    through coeffs in order, so the plain start (zero unless given) comes
+    first when coeffs starts at 0.  One partial sum is kept per basis
+    vector, so each member costs about one vector addition.  basis may be
+    empty only when start is given.
     """
+    if not basis:
+        yield list(start)
+        return
     add, mul = F.add, F.mul
     scaled = [[[mul[c][x] for row in B for x in row] for c in coeffs] for B in basis]
     m, last = len(basis), len(coeffs) - 1
     digits = [0] * m
-    # partial[i] is the sum over j >= i of coeffs[digits[j]] * basis[j]
-    partial = [None] * m + [[0] * len(scaled[0][0])]
+    # partial[i] is start plus the sum over j >= i of coeffs[digits[j]] * basis[j]
+    partial = [None] * m + [list(start) if start is not None else [0] * len(scaled[0][0])]
     top = m
     while True:
         for i in range(top - 1, 0, -1):
@@ -680,15 +686,16 @@ def _span(F: GFTable, basis, coeffs):
 
 
 def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
-    """Deterministic scan of the GF(p)-span for an invertible member."""
+    """Deterministic scan of the GF(p)-span for an invertible member; one
+    with a zero row is skipped without a determinant but still counts."""
     m = len(basis)
     if m == 0:
         raise RealizationError("invariant form space is zero")
     n = len(basis[0])
     # the packed ints 0 .. p-1 are the elements of GF(p)
     for h in itertools.islice(_span(F, basis, range(p)), 1, min(p**m, budget + 1)):
-        X = tuple(tuple(h[r : r + n]) for r in range(0, n * n, n))
-        if mat_det(F, X) != 0:
+        X = tuple(zip(*[iter(h)] * n))
+        if all(map(any, X)) and mat_det(F, X) != 0:
             return X
     raise RealizationError(
         f"no nondegenerate invariant form within {budget} candidates"
@@ -900,51 +907,58 @@ def reversing_space(F: GFTable, g: Matrix):
     return [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)) for vec in kernel]
 
 
-def _scan_reversing_space(
-    F: GFTable,
-    basis,
-    n: int,
-    gram: Matrix,
-    involution: bool,
-    budget: int,
-):
-    """Exhaustive scan of the reversing space, yielding unitary members.
+def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
+    """Members h of the GF(q^2)-span of basis with h* J h = J, lazily.
 
-    With involution set only those with h^2 = 1 (strong reality witnesses),
-    otherwise every nonzero one (reality witnesses).  Candidates come from
-    _span in its counter order.
+    The basis is put in reduced echelon form over the entries in
+    column-major order, so column j of h involves only the vectors pivoting
+    in columns <= j, each with h's entry at its pivot as coefficient.
+    Columns are chosen left to right.  The pairings u_i* J x = J[i][j] with
+    the chosen columns u_i are linear in column x, so one elimination gives
+    the affine set of candidates, which _span walks; each is tested against
+    x* J x = J[j][j].  A search node is one candidate tested; past budget
+    nodes the search raises BudgetExceededError.
     """
-    m = len(basis)
-    if m == 0:
-        return
-    total = F.size**m
-    if total > budget:
-        raise BudgetExceededError(
-            f"reversing-space scan of {total} candidates exceeds budget {budget}"
-        )
+    n = len(J)
     add, mul = F.add, F.mul
+    vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
+    pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)] if vecs else []
+    nodes = 0
 
-    def involution_ok(h):
-        for rr in range(n):
-            base = rr * n
-            for cc in range(n):
-                acc = 0
-                for k in range(n):
-                    a = h[base + k]
-                    if a:
-                        b = h[k * n + cc]
-                        if b:
-                            acc = add[acc][mul[a][b]]
-                if acc != (1 if rr == cc else 0):
-                    return False
-        return True
+    def combine(c, vectors, base):
+        for ck, v in zip(c, vectors):
+            if ck:
+                base = [add[a][mul[ck][b]] for a, b in zip(base, v)]
+        return base
 
-    accept = involution_ok if involution else any
-    for h in _span(F, basis, range(F.size)):
-        if accept(h):
-            hm = tuple(tuple(h[r : r + n]) for r in range(0, n * n, n))
-            if is_unitary(F, hm, gram):
-                yield hm
+    def walk(cols):
+        nonlocal nodes
+        j = len(cols)
+        if j == n:
+            yield tuple(zip(*cols))
+            return
+        part = [v[j * n : j * n + n] for v in vecs]
+        # the vectors pivoting before column j come first in part
+        a = combine([cols[c][r] for c, r in pivots if c < j], part, [0] * n)
+        heads = [h for h, (c, _) in zip(part, pivots) if c == j]
+        # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
+        system = [
+            [_hermitian_dot(F, u, J, h) for h in heads] + [F.sub(_hermitian_dot(F, u, J, a), J[i][j])]
+            for i, u in enumerate(cols)
+        ]
+        kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
+        start = next((v for v in kernel if v[-1]), None)
+        if start is None:
+            return
+        directions = [(combine(v, heads, [0] * n),) for v in kernel if not v[-1]]
+        for x in _span(F, directions, range(F.size), combine(start, heads, a)):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"unitary search passed {budget} nodes")
+            if _hermitian_dot(F, x, J, x) == J[j][j]:
+                yield from walk(cols + [x])
+
+    yield from walk([])
 
 
 def _reversers(
@@ -957,18 +971,19 @@ def _reversers(
     """Unitary h with h g h^(-1) = g^(-1), lazily; only involutions if asked.
 
     With a materialized group, which must contain g, filters its involutions
-    or its elements; otherwise scans the reversing space, raising
-    BudgetExceededError before the first candidate when the space is over
-    budget.
+    or its elements; otherwise searches the unitary members of the reversing
+    space, raising BudgetExceededError once the search passes
+    budgets.reversing_scan nodes.
     """
     if group is not None:
         yield from group.reversers(g, involution)
         return
     F = table_for(form.q)
-    basis = reversing_space(F, g)
-    yield from _scan_reversing_space(
-        F, basis, len(g), form.gram, involution, budgets.reversing_scan
-    )
+    members = _unitary_members(F, reversing_space(F, g), form.gram, budgets.reversing_scan)
+    if involution:
+        one = identity(len(g))
+        members = (h for h in members if mat_mul(F, h, h) == one)
+    yield from members
 
 
 def strong_reality_witnesses(
@@ -977,8 +992,8 @@ def strong_reality_witnesses(
     group: GroupEnumeration | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ):
-    """Every unitary involution s with s g s = g^(-1)."""
-    return list(_reversers(g, form, group, budgets, involution=True))
+    """Every unitary involution s with s g s = g^(-1), sorted."""
+    return sorted(_reversers(g, form, group, budgets, involution=True))
 
 
 def is_strongly_real_oracle(
@@ -989,8 +1004,9 @@ def is_strongly_real_oracle(
 ) -> bool:
     """Search verdict: does some unitary involution reverse g?
 
-    With a materialized group, scans its involutions; otherwise scans the
-    reversing space.  Raises BudgetExceededError instead of guessing.
+    With a materialized group, scans its involutions; otherwise searches the
+    unitary members of the reversing space.  Raises BudgetExceededError
+    instead of guessing.
     """
     return next(_reversers(g, form, group, budgets, involution=True), None) is not None
 
@@ -1111,21 +1127,33 @@ def _conjugation_orbits(group: GroupEnumeration) -> list:
 
 
 def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Budgets):
-    """(real, strongly real) by reversing-space scans on a realized
-    representative; None wherever a budget ran out."""
+    """(real, strongly real) from one walk over the unitary reversers of a
+    realized representative; None wherever a budget ran out.
+
+    A walk that ends without an involution has seen every unitary reverser:
+    a coset of the centralizer for a real class, none otherwise.  Its count
+    is checked against Wall's |C(g)|.
+    """
     try:
         g = realize_class(datum, form, budgets)
     except RealizationError:
         return None, None  # budget too small to even realize
+    F = table_for(form.q)
+    one = identity(len(g))
+    leaves = 0
     try:
-        oracle_sr = is_strongly_real_oracle(g, form, None, budgets)
+        for h in _reversers(g, form, None, budgets, involution=False):
+            if mat_mul(F, h, h) == one:
+                return True, True
+            leaves += 1
     except BudgetExceededError:
-        oracle_sr = None
-    try:
-        oracle_real = is_real_oracle(g, form, None, budgets)
-    except BudgetExceededError:
-        oracle_real = None
-    return oracle_real, oracle_sr
+        return (True if leaves else None), None
+    expected = centralizer_order(datum) if datum_is_real(datum) else 0
+    if leaves != expected:
+        raise CountMismatchError(
+            f"{leaves} unitary reversers of {datum}, expected {expected}"
+        )
+    return leaves > 0, False
 
 
 def _check_orbit_data(n: int, pp: PrimePower, data) -> None:

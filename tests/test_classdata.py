@@ -5,6 +5,7 @@ import pytest
 from strongreal.classdata import (
     ClassDatum,
     Partition,
+    centralizer_order,
     class_datum,
     commutant_dim,
     datum_from_json,
@@ -28,7 +29,8 @@ from strongreal.classdata import (
 )
 from strongreal.counting import enumerate_class_data
 from strongreal.errors import DatumError, NegationUndefinedError
-from strongreal.fields import PrimePower
+from strongreal.fields import PrimePower, prime_power
+from strongreal.oracle import unitary_order
 from strongreal.upoly import enumerate_u_irreducibles, tilde
 
 PP2 = PrimePower(2)
@@ -60,6 +62,28 @@ def test_commutant_dim():
     assert commutant_dim(partition([2])) == 2
     assert commutant_dim(partition([2, 1])) == 5
     assert commutant_dim(partition([1] * 3)) == 9
+
+
+def test_centralizer_order_examples():
+    assert centralizer_order(unipotent_datum(PP3, [1, 1, 1])) == unitary_order(3, 3)
+    # regular unipotent: the centre, of order q + 1, times q^(n - 1)
+    assert centralizer_order(unipotent_datum(PP3, [3])) == 4 * 3**2
+    # (2, 1): (q)^(5 - 2) |U(1, q)|^2
+    assert centralizer_order(unipotent_datum(PP3, [2, 1])) == 3**3 * 4 * 4
+
+
+@pytest.mark.parametrize("q,n_max", [(3, 6), (2, 4), (4, 4), (5, 4)])
+def test_class_equation(q, n_max):
+    # sum over classes of |G| / |C(g)| is |G|, with every |C(g)| dividing |G|
+    pp = prime_power(q)
+    for n in range(1, n_max + 1):
+        order = unitary_order(n, q)
+        total = 0
+        for d in enumerate_class_data(n, pp, "all"):
+            index, rest = divmod(order, centralizer_order(d))
+            assert rest == 0
+            total += index
+        assert total == order
 
 
 def test_make_class_datum_block_of_type_from_powers():

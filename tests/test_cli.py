@@ -18,6 +18,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(strongreal.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def test_classify_unipotent_odd_q(capsys):
     code, out, _ = run(capsys, "classify", "--q", "3", "--unipotent", "2,1,1")
     assert code == 0
@@ -113,14 +120,22 @@ def test_list_runs_without_numpy():
         "from strongreal.cli import main; "
         "sys.exit(main(['list', '--q', '4', '--n', '5']))"
     )
-    src = str(Path(strongreal.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 1935
+
+
+def test_python_m_strongreal_runs_the_cli(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongreal", "list", "--q", "3", "--n", "2"],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    code, out, _ = run(capsys, "list", "--q", "3", "--n", "2")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert len(out.splitlines()) == 16
 
 
 def test_series(capsys):
@@ -218,12 +233,13 @@ def test_budget_exhaustion_exit_three(capsys):
 def test_closure_repair_over_budget_falls_back(capsys):
     # U(4, F_2) fits the order budget, but its closure needs the 3x3-block
     # repair, whose 2^18-candidate scan does not fit: that is a budget
-    # shortfall, so verify falls back to the representatives path
+    # shortfall, so verify falls back to the representatives path, whose
+    # unitary search then decides every class
     code, out, _ = run(
         capsys, "verify", "--q", "2", "--n", "4", "--budget", "100000", "--format", "plain"
     )
-    assert code == 3
-    assert out == "U(4, F_2): 60 classes, 0 disagreements, 4 undecided (representatives)\n"
+    assert code == 0
+    assert out == "U(4, F_2): 60 classes, 0 disagreements, 0 undecided (representatives)\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from strongreal.classdata import commutant_dim, partition, unipotent_datum
+from strongreal import oracle
+from strongreal.classdata import centralizer_order, commutant_dim, partition, unipotent_datum
 from strongreal.classify import NOT_STRONGLY_REAL, STRONGLY_REAL
 from strongreal.counting import enumerate_class_data, series_K
-from strongreal.errors import BudgetExceededError, RealizationError
+from strongreal.errors import BudgetExceededError, CountMismatchError, RealizationError
 from strongreal.fields import PrimePower, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
     Budgets,
+    _conjugation_orbits,
+    _representative_verdicts,
+    _unitary_members,
     anti_diagonal,
     enumerate_group,
     extract_class_datum,
@@ -336,6 +340,47 @@ def test_reconcile_representative_path_u35():
     decided = [r for r in report.records if not r.undecided]
     assert len(decided) > 150
     assert report.undecided  # the big commutants are honestly out of budget
+
+
+def test_reconcile_default_budgets_decide_u35():
+    # at the default budgets the column search decides every class of
+    # U(3, F_5), whose group is too big to materialize
+    report = reconcile(3, 5)
+    assert report.strategy == "representatives"
+    assert len(report.records) == 192
+    assert not report.disagreements
+    assert not report.undecided
+
+
+def test_search_nodes_are_candidates_tested():
+    # U(1, F_3) as the unitary members of M_1: q^2 = 9 candidates, 4 members
+    F = table_for(PP3)
+    basis = [((1,),)]
+    assert len(list(_unitary_members(F, basis, identity(1), 9))) == 4
+    with pytest.raises(BudgetExceededError):
+        list(_unitary_members(F, basis, identity(1), 8))
+
+
+def test_centralizer_orders_match_orbit_sizes_u33():
+    grp = enumerate_group(3, PP3)
+    sizes: dict = {}
+    for i, oid in enumerate(_conjugation_orbits(grp)):
+        sizes.setdefault(oid, [i, 0])[1] += 1
+    assert len(sizes) == 56
+    for i, size in sizes.values():
+        datum = extract_class_datum(grp.elements[i], PP3)
+        assert size * centralizer_order(datum) == grp.order
+
+
+def test_exhausted_walk_checks_the_centralizer_order(monkeypatch):
+    # a walk that finds no involution sees every unitary reverser, and their
+    # number must be |C(g)|: a wrong order is a mismatch, not a verdict
+    form = identity_form(3, PP3)
+    datum = unipotent_datum(PP3, [2, 1])
+    assert _representative_verdicts(datum, form, Budgets()) == (True, False)
+    monkeypatch.setattr(oracle, "centralizer_order", lambda d: centralizer_order(d) + 1)
+    with pytest.raises(CountMismatchError):
+        _representative_verdicts(datum, form, Budgets())
 
 
 def test_witnesses_give_involution_factorizations():

@@ -1,5 +1,7 @@
 """The oracle's span enumerator and the two searches that walk it: the
-invariant-form search of realize_class and the reversing-space scan."""
+invariant-form search of realize_class and the column-by-column search for
+the unitary members of a matrix space, against the reversing-space scan it
+replaced."""
 
 import itertools
 import random
@@ -8,7 +10,7 @@ import pytest
 
 from strongreal.classdata import class_datum, partition
 from strongreal.counting import enumerate_class_data
-from strongreal.errors import RealizationError
+from strongreal.errors import BudgetExceededError, RealizationError
 from strongreal.fields import PrimePower, make_context, prime_power, table_for
 from strongreal.linalg import (
     conj_transpose,
@@ -25,6 +27,7 @@ from strongreal.oracle import (
     _invariant_hermitian_basis,
     _jordan_style_matrix,
     _span,
+    _unitary_members,
     explicit_representative,
     identity_form,
     realize_class,
@@ -170,7 +173,7 @@ def test_scan_witnesses_match_brute_force():
     g, form = explicit_representative("three_one", PrimePower(2))
     expected = brute_force_witnesses(table_for(PrimePower(2)), g, form.gram)
     assert len(expected) == 12
-    assert strong_reality_witnesses(g, form) == expected
+    assert strong_reality_witnesses(g, form) == sorted(expected)
 
     pp = PrimePower(3)
     ctx2 = make_context(pp, 2)
@@ -179,4 +182,67 @@ def test_scan_witnesses_match_brute_force():
     g = realize_class(class_datum(pp, {minus_one: partition([3])}), form)
     expected = brute_force_witnesses(table_for(pp), g, form.gram)
     assert len(expected) == 6
-    assert strong_reality_witnesses(g, form) == expected
+    assert strong_reality_witnesses(g, form) == sorted(expected)
+
+
+def reference_scan_reversing_space(F, basis, n, gram, involution, budget):
+    """The reversing-space scan the column search replaced: every member of
+    the span in counter order, tested for h^2 = 1 (involution set) or for
+    being nonzero, then for unitarity.  The budget caps q^(2m) up front."""
+    m = len(basis)
+    if m == 0:
+        return
+    total = F.size**m
+    if total > budget:
+        raise BudgetExceededError(
+            f"reversing-space scan of {total} candidates exceeds budget {budget}"
+        )
+    add, mul = F.add, F.mul
+
+    def involution_ok(h):
+        for rr in range(n):
+            base = rr * n
+            for cc in range(n):
+                acc = 0
+                for k in range(n):
+                    a = h[base + k]
+                    if a:
+                        b = h[k * n + cc]
+                        if b:
+                            acc = add[acc][mul[a][b]]
+                if acc != (1 if rr == cc else 0):
+                    return False
+        return True
+
+    accept = involution_ok if involution else any
+    for h in _span(F, basis, range(F.size)):
+        if accept(h):
+            hm = tuple(tuple(h[r : r + n]) for r in range(0, n * n, n))
+            if is_unitary(F, hm, gram):
+                yield hm
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in (2, 3, 4, 5) for n in (1, 2)]
+    + [(2, 3)]
+    + [pytest.param(q, 3, marks=pytest.mark.stretch) for q in (3, 4, 5)],
+)
+def test_column_search_matches_reference_scan(q, n):
+    # every realized class whose reversing space has at most 10^5 members:
+    # the same unitary reversers and the same unitary involutions
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    checked = 0
+    for d in enumerate_class_data(n, pp, "all"):
+        g = realize_class(d, form)
+        basis = reversing_space(F, g)
+        if F.size ** len(basis) > 10**5:
+            continue
+        reversers = set(reference_scan_reversing_space(F, basis, n, form.gram, False, 10**5))
+        assert set(_unitary_members(F, basis, form.gram, DEFAULT_BUDGETS.reversing_scan)) == reversers
+        involutions = list(reference_scan_reversing_space(F, basis, n, form.gram, True, 10**5))
+        assert strong_reality_witnesses(g, form) == sorted(involutions)
+        checked += 1
+    assert checked
