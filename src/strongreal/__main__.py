@@ -1,7 +1,5 @@
 """python -m strongreal: the command line front end."""
-import sys
-
 from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

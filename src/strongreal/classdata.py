@@ -225,21 +225,26 @@ def is_real(d: ClassDatum) -> bool:
     return True
 
 
+def unitary_order(n: int, q: int, sign: int = -1) -> int:
+    """|U(n, F_q)| = q^(n(n-1)/2) prod (q^i - (-1)^i); sign 1 gives |GL(n, F_q)|."""
+    return q ** (n * (n - 1) // 2) * prod(q**i - sign**i for i in range(1, n + 1))
+
+
 def centralizer_order(d: ClassDatum) -> int:
     """|C(g)| for g in U(n, F_q) in the class of d, by Wall's formula.
 
     Per U-irreducible f of degree k with partition mu and part multiplicities
     m_i: (q^k)^(sum mu'_i^2 - sum m_i^2) times prod |U(m_i, q^k)| for odd k,
     prod |GL(m_i, q^k)| for even k (f a product of two conjugate
-    irreducibles); both are Q^(m(m-1)/2) prod (Q^i - s^i), s = -1 or 1.
+    irreducibles).
     """
     out = 1
     for f, mu in d.blocks:
-        Q, s = d.q.q**f.degree, (-1) ** f.degree
+        Q = d.q.q**f.degree
         mults = mu.multiplicities().values()
         out *= Q ** (commutant_dim(mu) - sum(m * m for m in mults))
         for m in mults:
-            out *= Q ** (m * (m - 1) // 2) * prod(Q**i - s**i for i in range(1, m + 1))
+            out *= unitary_order(m, Q, (-1) ** f.degree)
     return out
 
 

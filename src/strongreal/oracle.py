@@ -11,6 +11,7 @@ into a verdict.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .classdata import (
     class_datum,
     is_real as datum_is_real,
     partition,
+    unitary_order,
 )
 from .counting import enumerate_class_data
 from .errors import (
@@ -68,14 +70,6 @@ class Budgets:
 
 
 DEFAULT_BUDGETS = Budgets()
-
-
-def unitary_order(n: int, q: int) -> int:
-    """q^(n(n-1)/2) * prod over i of (q^i - (-1)^i)."""
-    out = q ** (n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        out *= q**i - (-1) ** i
-    return out
 
 
 @dataclass(frozen=True)
@@ -296,52 +290,10 @@ def _hermitian_dot(F: GFTable, u, J, v):
 
 
 def _entrywise_elements(F: GFTable, n: int, J: Matrix):
-    """All matrices with g* J g = J, built column by column with pruning.
-
-    Column j is drawn from the vectors of J-norm J[j][j] only, filtered by
-    its prescribed product with each earlier column u through the row u* J.
-    """
-    add, mul, conj = F.add, F.mul, F.conj
-    by_norm: dict = {}
-    for v in itertools.product(range(F.size), repeat=n):
-        by_norm.setdefault(_hermitian_dot(F, v, J, v), []).append(v)
-
-    def pairing(u):
-        """v -> u* J v, through the multiplication rows of the entries of u* J."""
-        rows = []
-        for col in zip(*J):
-            acc = 0
-            for a, b in zip(u, col):
-                if a and b:
-                    acc = add[acc][mul[conj[a]][b]]
-            rows.append(mul[acc])
-
-        def value(v):
-            acc = 0
-            for m, b in zip(rows, v):
-                acc = add[acc][m[b]]
-            return acc
-
-        return value
-
-    out = []
-    cols: list = []
-
-    def rec(j, pairings):
-        if j == n:
-            out.append(tuple(zip(*cols)))
-            return
-        candidates = by_norm.get(J[j][j], ())
-        for i, value in enumerate(pairings):
-            target = J[i][j]
-            candidates = [v for v in candidates if value(v) == target]
-        for v in candidates:
-            cols.append(v)
-            rec(j + 1, pairings + [pairing(v)])
-            cols.pop()
-
-    rec(0, [])
-    return sorted(out)
+    """All matrices with g* J g = J, sorted: the unitary members of M_n."""
+    basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
+    # uncapped: every caller bounds the size of the group first
+    return sorted(_unitary_members(F, basis, J, math.inf))
 
 
 def _closure(tables, start):
@@ -922,7 +874,7 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     n = len(J)
     add, mul = F.add, F.mul
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
-    pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)] if vecs else []
+    pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
     nodes = 0
 
     def combine(c, vectors, base):
@@ -1130,9 +1082,10 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
     """(real, strongly real) from one walk over the unitary reversers of a
     realized representative; None wherever a budget ran out.
 
-    A walk that ends without an involution has seen every unitary reverser:
-    a coset of the centralizer for a real class, none otherwise.  Its count
-    is checked against Wall's |C(g)|.
+    A walk that ends without an involution has seen every unitary reverser,
+    a coset of the centralizer if it found any; that count is checked
+    against Wall's |C(g)|.  Whether it found any is the oracle's own reality
+    verdict, which reconcile compares with the classifier.
     """
     try:
         g = realize_class(datum, form, budgets)
@@ -1148,10 +1101,9 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
             leaves += 1
     except BudgetExceededError:
         return (True if leaves else None), None
-    expected = centralizer_order(datum) if datum_is_real(datum) else 0
-    if leaves != expected:
+    if leaves and leaves != centralizer_order(datum):
         raise CountMismatchError(
-            f"{leaves} unitary reversers of {datum}, expected {expected}"
+            f"{leaves} unitary reversers of {datum}, expected {centralizer_order(datum)}"
         )
     return leaves > 0, False
 

@@ -352,6 +352,19 @@ def test_reconcile_default_budgets_decide_u35():
     assert not report.undecided
 
 
+def test_reality_disagreement_is_reported_not_raised(monkeypatch):
+    # the walk's own reality verdict is independent of the classifier: a
+    # wrong classifier answer must surface as disagreements in the report
+    from strongreal.classdata import is_real
+
+    monkeypatch.setattr(oracle, "datum_is_real", lambda d: not is_real(d))
+    report = reconcile(2, 3, Budgets(entry_scan=10, group_order=10))
+    assert report.strategy == "representatives"
+    assert not report.undecided
+    assert len(report.disagreements) == len(report.records) == 16
+    assert not any(r.real_agree for r in report.records)
+
+
 def test_search_nodes_are_candidates_tested():
     # U(1, F_3) as the unitary members of M_1: q^2 = 9 candidates, 4 members
     F = table_for(PP3)
