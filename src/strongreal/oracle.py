@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import classify
@@ -353,13 +354,12 @@ def _embed_block(n: int, block: Matrix, pos: int) -> Matrix:
 
 
 def _closure_seeds(F: GFTable, n: int, u2_elements):
-    """The seed set: embedded U(2) blocks, unitary diagonals, scaled permutations."""
+    """The seed set: embedded U(2) blocks and scaled permutations, whose
+    identity permutation gives the unitary diagonals."""
     seeds = set()
     for pos in range(n - 1):
         for m2 in u2_elements:
             seeds.add(_embed_block(n, m2, pos))
-    for diag in itertools.product(F.norm_one, repeat=n):
-        seeds.add(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
     for perm in itertools.permutations(range(n)):
         for scalars in itertools.product(F.norm_one, repeat=n):
             seeds.add(
@@ -638,20 +638,51 @@ def _span(F: GFTable, basis, coeffs, start=None):
 
 
 def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
-    """Deterministic scan of the GF(p)-span for an invertible member; one
-    with a zero row is skipped without a determinant but still counts."""
+    """The first invertible member of the GF(p)-span in _span's counter
+    order, among candidates 1 .. budget (candidate 0 is the zero matrix).
+
+    Walked from the high digits down: with the coefficients of basis[k:]
+    fixed to the partial sum P, the next p^k candidates differ from P only
+    by members of the span of basis[:k].  A row that is zero in P and in
+    all of basis[:k] is zero in each of them, so the whole block is skipped
+    in one step; its candidates still count against the budget.
+    """
     m = len(basis)
     if m == 0:
         raise RealizationError("invariant form space is zero")
     n = len(basis[0])
+    add, mul = F.add, F.mul
+    last = min(p**m - 1, budget)
     # the packed ints 0 .. p-1 are the elements of GF(p)
-    for h in itertools.islice(_span(F, basis, range(p)), 1, min(p**m, budget + 1)):
-        X = tuple(zip(*[iter(h)] * n))
-        if all(map(any, X)) and mat_det(F, X) != 0:
-            return X
-    raise RealizationError(
-        f"no nondegenerate invariant form within {budget} candidates"
-    )
+    scaled = [[[tuple(mul[c][x] for x in row) for row in B] for c in range(p)] for B in basis]
+    # free[k]: the rows that are zero in every one of basis[:k]
+    free = [[r for r in range(n) if not any(any(B[r]) for B in basis[:k])] for k in range(m + 1)]
+
+    def block(k, P, first):
+        if any(not any(P[r]) for r in free[k]):
+            return None
+        if k == 0:
+            return P if mat_det(F, P) else None
+        k -= 1
+        for c in range(p):
+            start = first + c * p**k
+            if start > last:
+                return None
+            Q = P if not c else tuple(
+                tuple(add[a][b] for a, b in zip(row, s)) if any(s) else row
+                for row, s in zip(P, scaled[k][c])
+            )
+            X = block(k, Q, start)
+            if X is not None:
+                return X
+        return None
+
+    X = block(m, ((0,) * n,) * n, 0)
+    if X is None:
+        raise RealizationError(
+            f"no nondegenerate invariant form within {budget} candidates"
+        )
+    return X
 
 
 def congruence_to_identity(F: GFTable, X: Matrix) -> Matrix:
@@ -870,8 +901,14 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     the affine set of candidates, which _span walks; each is tested against
     x* J x = J[j][j].  A search node is one candidate tested; past budget
     nodes the search raises BudgetExceededError.
+
+    Every member's columns lie in the span of the columns of the basis
+    matrices.  When that span is smaller than F^n no member is invertible,
+    let alone unitary, and the search ends before its first node.
     """
     n = len(J)
+    if mat_rank(F, [col for B in basis for col in zip(*B)]) < n:
+        return
     add, mul = F.add, F.mul
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
@@ -913,6 +950,21 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     yield from walk([])
 
 
+def _is_involution(F: GFTable, h: Matrix) -> bool:
+    """h h == 1, entry by entry, stopping at the first wrong one."""
+    add, mul = F.add, F.mul
+    cols = tuple(zip(*h))
+    for i, row in enumerate(h):
+        for j, col in enumerate(cols):
+            acc = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = add[acc][mul[a][b]]
+            if acc != (1 if i == j else 0):
+                return False
+    return True
+
+
 def _reversers(
     g: Matrix,
     form: HermitianForm,
@@ -933,8 +985,7 @@ def _reversers(
     F = table_for(form.q)
     members = _unitary_members(F, reversing_space(F, g), form.gram, budgets.reversing_scan)
     if involution:
-        one = identity(len(g))
-        members = (h for h in members if mat_mul(F, h, h) == one)
+        members = (h for h in members if _is_involution(F, h))
     yield from members
 
 
@@ -1092,11 +1143,10 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
     except RealizationError:
         return None, None  # budget too small to even realize
     F = table_for(form.q)
-    one = identity(len(g))
     leaves = 0
     try:
         for h in _reversers(g, form, None, budgets, involution=False):
-            if mat_mul(F, h, h) == one:
+            if _is_involution(F, h):
                 return True, True
             leaves += 1
     except BudgetExceededError:
@@ -1108,15 +1158,23 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
     return leaves > 0, False
 
 
-def _check_orbit_data(n: int, pp: PrimePower, data) -> None:
+def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
     """The data read off the conjugacy orbits must be pairwise distinct and
-    be exactly the enumerated classes of U(n, F_q)."""
+    be exactly the enumerated classes of U(n, F_q), and the orbit of each
+    datum, of the given size, must have |U(n, F_q)| / |C(datum)| elements."""
     expected = set(enumerate_class_data(n, pp, "all", max_n=n, max_q=pp.q))
     if len(set(data)) != len(data) or set(data) != expected:
         raise CountMismatchError(
             f"{len(data)} conjugacy orbits give {len(set(data))} distinct data, "
             f"{len(set(data) & expected)} of the {len(expected)} enumerated classes"
         )
+    order = unitary_order(n, pp.q)
+    for datum, size in zip(data, sizes):
+        if size * centralizer_order(datum) != order:
+            raise CountMismatchError(
+                f"orbit of {datum} has {size} elements, expected "
+                f"{order} / {centralizer_order(datum)}"
+            )
 
 
 def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
@@ -1144,7 +1202,8 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
             )
             for oid, i in reps.items()
         ]
-        _check_orbit_data(n, pp, [datum for datum, _, _ in found])
+        sizes = Counter(orbit)
+        _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order
     else:
         found = [

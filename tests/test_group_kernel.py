@@ -6,6 +6,7 @@ conjugation, and the involution test s s = 1.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from strongreal.errors import CountMismatchError
 from strongreal.fields import prime_power, table_for
 from strongreal.linalg import conj_transpose, identity, mat_inv, mat_mul
 from strongreal.oracle import (
+    _closure_seeds,
     _conjugation_orbits,
+    _entrywise_elements,
     _RowCodes,
     _times,
     anti_diagonal,
@@ -137,3 +140,46 @@ def test_reconcile_rejects_wrong_orbits(monkeypatch, fault):
     monkeypatch.setattr(oracle, "_conjugation_orbits", faulty)
     with pytest.raises(CountMismatchError):
         reconcile(2, 3)
+
+
+def test_reconcile_checks_orbit_sizes(monkeypatch):
+    # moving one element into another orbit keeps every orbit's first
+    # element, so the data still match the classes; only the orbit sizes,
+    # |G| / |C(g)| by Wall's formula, show the fault
+    exact = _conjugation_orbits
+
+    def faulty(group):
+        orbit = exact(group)
+        first: dict = {}
+        i = next(i for i, oid in enumerate(orbit) if first.setdefault(oid, i) != i and oid != 0)
+        orbit[i] = 0
+        return orbit
+
+    monkeypatch.setattr(oracle, "_conjugation_orbits", faulty)
+    with pytest.raises(CountMismatchError, match="elements, expected"):
+        reconcile(2, 3)
+
+
+def reference_closure_seeds(F, n, u2_elements):
+    """The seed set with the unitary diagonals built on their own as well."""
+    seeds = set()
+    for pos in range(n - 1):
+        for m2 in u2_elements:
+            seeds.add(oracle._embed_block(n, m2, pos))
+    for diag in itertools.product(F.norm_one, repeat=n):
+        seeds.add(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
+    for perm in itertools.permutations(range(n)):
+        for scalars in itertools.product(F.norm_one, repeat=n):
+            seeds.add(
+                tuple(tuple(scalars[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
+            )
+    return seeds
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closure_seeds_match_reference(q, n):
+    F = table_for(prime_power(q))
+    b = min(n, 2)
+    u2 = _entrywise_elements(F, b, identity(b))
+    assert _closure_seeds(F, n, u2) == reference_closure_seeds(F, n, u2)
