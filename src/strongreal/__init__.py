@@ -42,17 +42,7 @@ from .counting import (
     series_R,
     series_T,
 )
-from .fields import (
-    FieldCtx,
-    FieldElem,
-    PrimePower,
-    frobenius,
-    make_context,
-    norm_preimage,
-    norm_to_base,
-    prime_power,
-    u_frobenius,
-)
+from .fields import FieldCtx, PrimePower, make_context, prime_power
 from .oracle import (
     Budgets,
     GroupEnumeration,

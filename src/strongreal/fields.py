@@ -7,8 +7,8 @@ coefficient vectors are compared low degree first as integers 0..p-1.
 Elements are dense GF(p) coefficient vectors packed into a Python int in base
 p, low digit first.  Contexts are immutable and cached, so identity comparison
 of contexts is meaningful.  The bar map on a GF(q^2) context is a -> a^q and
-the twisted map is a -> a^(-q); both are exposed on elements of any context
-whose degree over GF(q) is at least 1.
+the twisted map is a -> a^(-q); both are FieldCtx methods on packed elements
+of any context whose degree over GF(q) is at least 1.
 """
 
 from __future__ import annotations
@@ -454,104 +454,6 @@ class FieldCtx:
 def make_context(pp: PrimePower, k: int) -> FieldCtx:
     """Context for GF(q^k) with the deterministic lex-smallest modulus."""
     return FieldCtx(pp, k)
-
-
-# ---------------------------------------------------------------------------
-# element-level API
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A value in a FieldCtx; thin wrapper over the packed encoding."""
-
-    ctx: FieldCtx
-    val: int
-
-    def __post_init__(self):
-        if not 0 <= self.val < self.ctx.size:
-            raise ValueError("packed value out of range")
-
-    def coords(self):
-        return self.ctx.to_coords(self.val)
-
-    def is_zero(self) -> bool:
-        return self.val == 0
-
-    def __add__(self, other):
-        return FieldElem(self.ctx, self.ctx.add(self.val, _val_of(self, other)))
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self.val, _val_of(self, other)))
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx, self.ctx.mul(self.val, _val_of(self, other)))
-
-    def __truediv__(self, other):
-        return FieldElem(self.ctx, self.ctx.mul(self.val, self.ctx.inv(_val_of(self, other))))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.val))
-
-    def __pow__(self, n: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.val, n))
-
-    def conj(self):
-        return FieldElem(self.ctx, self.ctx.conj(self.val))
-
-    def to_json(self):
-        return list(self.coords())
-
-
-def _val_of(ref: FieldElem, other) -> int:
-    if isinstance(other, FieldElem):
-        if other.ctx is not ref.ctx:
-            raise ValueError("elements from different contexts")
-        return other.val
-    if isinstance(other, int):
-        return other % ref.ctx.p
-    raise TypeError(f"cannot combine FieldElem with {type(other)!r}")
-
-
-def elem(ctx: FieldCtx, val: int) -> FieldElem:
-    return FieldElem(ctx, val)
-
-
-def frobenius(a: FieldElem, power_of_q: int = 1) -> FieldElem:
-    """a^(q^power); power 1 is the bar map on a GF(q^2) context."""
-    return FieldElem(a.ctx, a.ctx.frobenius_q(a.val, power_of_q))
-
-
-def u_frobenius(a: FieldElem) -> FieldElem:
-    """a^(-q); errors at zero."""
-    return FieldElem(a.ctx, a.ctx.u_frob(a.val))
-
-
-def norm_to_base(a: FieldElem) -> FieldElem:
-    """a * bar(a), landing in the GF(q) base of a GF(q^2) context."""
-    ctx = a.ctx
-    if ctx.k != 2:
-        raise ValueError("norm_to_base expects a GF(q^2) context (k = 2)")
-    base = make_context(ctx.pp, 1)
-    val = ctx.mul(a.val, ctx.conj(a.val))
-    down = ctx.subfield_map(base)
-    return FieldElem(base, down[val])
-
-
-def norm_preimage(ctx: FieldCtx, c: FieldElem) -> FieldElem:
-    """First b in packed order with b * bar(b) = c; b = 0 for c = 0."""
-    if ctx.k != 2:
-        raise ValueError("norm_preimage expects a GF(q^2) context (k = 2)")
-    base = make_context(ctx.pp, 1)
-    if c.ctx is not base:
-        raise ValueError("norm target must live in the GF(q) base context")
-    if c.val == 0:
-        return FieldElem(ctx, 0)
-    up = ctx.embed_from(base)
-    target = up[c.val]
-    for b in range(1, ctx.size):
-        if ctx.mul(b, ctx.conj(b)) == target:
-            return FieldElem(ctx, b)
-    raise AssertionError("the norm map of GF(q^2)/GF(q) is surjective")
 
 
 # ---------------------------------------------------------------------------

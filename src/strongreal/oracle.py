@@ -272,22 +272,24 @@ def _sorted_group(form, codec, codes, generators, right, inverse, strategy):
     )
 
 
-def _hermitian_dot(F: GFTable, u, J, v):
-    """u* J v for column vectors."""
+def _hermitian_dot(F: GFTable, J: Matrix):
+    """The map (u, v) -> u* J v on column vectors, which reads J's nonzero
+    entries, each as its multiplication row, from a list built once."""
     add, mul, conj = F.add, F.mul, F.conj
-    n = len(u)
-    acc = 0
-    for k in range(n):
-        uk = conj[u[k]]
-        if not uk:
-            continue
-        row = J[k]
-        inner = 0
-        for l in range(n):
-            if row[l] and v[l]:
-                inner = add[inner][mul[row[l]][v[l]]]
-        acc = add[acc][mul[uk][inner]]
-    return acc
+    rows = [[(l, mul[a]) for l, a in enumerate(row) if a] for row in J]
+
+    def dot(u, v):
+        acc = 0
+        for uk, row in zip(u, rows):
+            if uk:
+                cu = mul[conj[uk]]
+                for l, ja in row:
+                    vl = v[l]
+                    if vl:
+                        acc = add[acc][cu[ja[vl]]]
+        return acc
+
+    return dot
 
 
 def _entrywise_elements(F: GFTable, n: int, J: Matrix):
@@ -690,9 +692,7 @@ def congruence_to_identity(F: GFTable, X: Matrix) -> Matrix:
     n = len(X)
     add, mul, neg, conj, inv = F.add, F.mul, F.neg, F.conj, F.inv
     basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-
-    def dot(u, v):
-        return _hermitian_dot(F, u, X, v)
+    dot = _hermitian_dot(F, X)
 
     for i in range(n):
         if dot(basis[i], basis[i]) == 0:
@@ -913,6 +913,7 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
     nodes = 0
+    dot = _hermitian_dot(F, J)
 
     def combine(c, vectors, base):
         for ck, v in zip(c, vectors):
@@ -932,7 +933,7 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
         heads = [h for h, (c, _) in zip(part, pivots) if c == j]
         # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
         system = [
-            [_hermitian_dot(F, u, J, h) for h in heads] + [F.sub(_hermitian_dot(F, u, J, a), J[i][j])]
+            [dot(u, h) for h in heads] + [F.sub(dot(u, a), J[i][j])]
             for i, u in enumerate(cols)
         ]
         kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
@@ -944,7 +945,7 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"unitary search passed {budget} nodes")
-            if _hermitian_dot(F, x, J, x) == J[j][j]:
+            if dot(x, x) == J[j][j]:
                 yield from walk(cols + [x])
 
     yield from walk([])
@@ -1129,19 +1130,15 @@ def _conjugation_orbits(group: GroupEnumeration) -> list:
     return orbit
 
 
-def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Budgets):
-    """(real, strongly real) from one walk over the unitary reversers of a
-    realized representative; None wherever a budget ran out.
+def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, budgets: Budgets):
+    """(real, strongly real) from one walk over the unitary reversers of g,
+    a representative of datum; None wherever the budget ran out.
 
     A walk that ends without an involution has seen every unitary reverser,
     a coset of the centralizer if it found any; that count is checked
     against Wall's |C(g)|.  Whether it found any is the oracle's own reality
     verdict, which reconcile compares with the classifier.
     """
-    try:
-        g = realize_class(datum, form, budgets)
-    except RealizationError:
-        return None, None  # budget too small to even realize
     F = table_for(form.q)
     leaves = 0
     try:
@@ -1156,6 +1153,57 @@ def _representative_verdicts(datum: ClassDatum, form: HermitianForm, budgets: Bu
             f"{leaves} unitary reversers of {datum}, expected {centralizer_order(datum)}"
         )
     return leaves > 0, False
+
+
+def _sign_inverse_images(F: GFTable, g: Matrix) -> list:
+    """g^(-1), -g and -g^(-1); only g^(-1) in characteristic 2, where -1 = 1."""
+    ginv = mat_inv(F, g)
+    if F.ctx.p == 2:
+        return [ginv]
+    neg = F.neg
+    return [ginv] + [tuple(tuple(neg[x] for x in row) for row in m) for m in (g, ginv)]
+
+
+def _representative_records(data, form: HermitianForm, budgets: Budgets):
+    """(datum, real, strongly real) for each of the class data, realizing and
+    walking only the first class of each orbit of g -> +-g^(+-1) among them.
+
+    For s, e in {1, -1}, h (s g^e) h^(-1) = (s g^e)^(-1) iff h g h^(-1) =
+    g^(-1), and reversing_space returns the same basis for all four, so
+    their walks are one computation, budget outcome included.  Each image
+    must be unitary, have g's centralizer order and be one of the data,
+    else CountMismatchError.  A class that fails to realize shares nothing.
+    """
+    pp = form.q
+    F = table_for(pp)
+    found: dict = {}
+    shared: dict = {}
+    for datum in data:
+        if datum in shared:
+            found[datum] = shared.pop(datum)
+            continue
+        try:
+            g = realize_class(datum, form, budgets)
+        except RealizationError:
+            found[datum] = (None, None)  # budget too small to even realize
+            continue
+        found[datum] = verdicts = _representative_verdicts(g, datum, form, budgets)
+        for h in _sign_inverse_images(F, g):
+            image = extract_class_datum(h, pp)
+            if not is_unitary(F, h, form.gram):
+                raise RealizationError(f"an image of the {datum} representative is not unitary")
+            if centralizer_order(image) != centralizer_order(datum):
+                raise CountMismatchError(
+                    f"image {image} of {datum} has |C| = {centralizer_order(image)}, "
+                    f"expected {centralizer_order(datum)}"
+                )
+            if image not in found:
+                shared.setdefault(image, verdicts)
+    if shared:
+        raise CountMismatchError(
+            f"{len(shared)} images of realized classes are not among the class data"
+        )
+    return [(datum, *verdicts) for datum, verdicts in found.items()]
 
 
 def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
@@ -1206,10 +1254,7 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order
     else:
-        found = [
-            (datum, *_representative_verdicts(datum, form, budgets))
-            for datum in enumerate_class_data(n, pp, "all")
-        ]
+        found = _representative_records(enumerate_class_data(n, pp, "all"), form, budgets)
         strategy, group_order = "representatives", None
     records = sorted(
         (

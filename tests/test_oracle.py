@@ -9,12 +9,14 @@ from strongreal.classdata import centralizer_order, commutant_dim, partition, un
 from strongreal.classify import NOT_STRONGLY_REAL, STRONGLY_REAL
 from strongreal.counting import enumerate_class_data, series_K
 from strongreal.errors import BudgetExceededError, CountMismatchError, RealizationError
-from strongreal.fields import PrimePower, table_for
+from strongreal.fields import PrimePower, prime_power, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
     Budgets,
     _conjugation_orbits,
+    _representative_records,
     _representative_verdicts,
+    _sign_inverse_images,
     _unitary_members,
     anti_diagonal,
     enumerate_group,
@@ -390,10 +392,101 @@ def test_exhausted_walk_checks_the_centralizer_order(monkeypatch):
     # number must be |C(g)|: a wrong order is a mismatch, not a verdict
     form = identity_form(3, PP3)
     datum = unipotent_datum(PP3, [2, 1])
-    assert _representative_verdicts(datum, form, Budgets()) == (True, False)
+    g = realize_class(datum, form)
+    assert _representative_verdicts(g, datum, form, Budgets()) == (True, False)
     monkeypatch.setattr(oracle, "centralizer_order", lambda d: centralizer_order(d) + 1)
     with pytest.raises(CountMismatchError):
-        _representative_verdicts(datum, form, Budgets())
+        _representative_verdicts(g, datum, form, Budgets())
+
+
+def reference_representative_records(data, form, budgets):
+    """The representatives path before orbit sharing: realize and walk every
+    class on its own.  The reference for _representative_records."""
+    out = []
+    for datum in data:
+        try:
+            g = realize_class(datum, form, budgets)
+        except RealizationError:
+            out.append((datum, None, None))
+            continue
+        out.append((datum, *_representative_verdicts(g, datum, form, budgets)))
+    return out
+
+
+SHARING_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (2, 3), (4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("budgets", [Budgets(), Budgets.uniform(20000)], ids=["default", "20000"])
+@pytest.mark.parametrize("q,n", SHARING_CASES)
+def test_shared_records_match_reference(q, n, budgets):
+    # one walk per orbit of g -> +-g^(+-1) gives the record of every class,
+    # undecided ones included, exactly as walking each class on its own
+    pp = prime_power(q)
+    form = identity_form(n, pp)
+    data = enumerate_class_data(n, pp, "all", max_n=n, max_q=q)
+    assert _representative_records(data, form, budgets) == reference_representative_records(
+        data, form, budgets
+    )
+
+
+@pytest.mark.parametrize("q,n", SHARING_CASES)
+def test_images_have_the_same_reversing_space(q, n):
+    # the walk on an image would be the walk on g: the same basis, in order
+    pp = prime_power(q)
+    F = table_for(pp)
+    for datum in enumerate_class_data(n, pp, "all", max_n=n, max_q=q):
+        g = realize_class(datum)
+        images = _sign_inverse_images(F, g)
+        assert len(images) == (1 if pp.p == 2 else 3)
+        space = reversing_space(F, g)
+        for h in images:
+            assert reversing_space(F, h) == space
+
+
+# budgets too small to materialize any group, so reconcile takes the
+# representatives path
+NO_GROUP = Budgets(entry_scan=10, group_order=10)
+
+
+def test_image_with_another_centralizer_order_raises(monkeypatch):
+    # I and -I are one orbit; a centralizer order that tells them apart
+    # contradicts Wall's formula and must not be shared
+    minus_one = extract_class_datum(((2, 0), (0, 2)), PP3)  # 2 = -1 in GF(9)
+    assert reconcile(2, 3, NO_GROUP).strategy == "representatives"
+    monkeypatch.setattr(
+        oracle, "centralizer_order", lambda d: centralizer_order(d) + (d == minus_one)
+    )
+    with pytest.raises(CountMismatchError, match=r"has \|C\|"):
+        reconcile(2, 3, NO_GROUP)
+
+
+def test_image_outside_the_enumeration_raises(monkeypatch):
+    # an image that enumeration never yields is not a class of U(n, F_q)
+    minus_one = extract_class_datum(((2, 0), (0, 2)), PP3)
+    enumerated = oracle.enumerate_class_data
+    monkeypatch.setattr(
+        oracle,
+        "enumerate_class_data",
+        lambda n, pp, which: [d for d in enumerated(n, pp, which) if d != minus_one],
+    )
+    with pytest.raises(CountMismatchError, match="not among the class data"):
+        reconcile(2, 3, NO_GROUP)
+
+
+def test_one_realization_per_orbit_u35(monkeypatch):
+    # 192 classes of U(3, F_5), realized once per orbit of g -> +-g^(+-1)
+    calls = []
+    realize = oracle.realize_class
+
+    def counted(*args):
+        calls.append(args[0])
+        return realize(*args)
+
+    monkeypatch.setattr(oracle, "realize_class", counted)
+    report = reconcile(3, 5, Budgets.uniform(20000))
+    assert report.strategy == "representatives"
+    assert len(report.records) == 192
+    assert len(calls) <= 52
 
 
 def test_witnesses_give_involution_factorizations():
