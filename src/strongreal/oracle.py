@@ -292,11 +292,11 @@ def _hermitian_dot(F: GFTable, J: Matrix):
     return dot
 
 
-def _entrywise_elements(F: GFTable, n: int, J: Matrix):
-    """All matrices with g* J g = J, sorted: the unitary members of M_n."""
+def _entrywise_members(F: GFTable, n: int, J: Matrix):
+    """All matrices with g* J g = J, lazily: the unitary members of M_n."""
     basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
     # uncapped: every caller bounds the size of the group first
-    return sorted(_unitary_members(F, basis, J, math.inf))
+    return _unitary_members(F, basis, J, math.inf)
 
 
 def _closure(tables, start):
@@ -320,23 +320,24 @@ def _closure(tables, start):
     return elements, index, right
 
 
-def _greedy_generators(codec: _RowCodes, group_elements):
-    """Small deterministic generating set of the group with these sorted
-    elements, by greedy accumulation; also returns the closure it reaches."""
-    target = len(group_elements)
+def _greedy_generators(codec: _RowCodes, members, target: int):
+    """Small deterministic generating set taken from members by greedy
+    accumulation, until the closure it reaches has target elements; also
+    returns that closure.  Members run out first: GroupClosureError."""
     gens: list = []
     tables: list = []
     elements, index, right = [codec.identity], {codec.identity: 0}, []
-    for g in group_elements:
+    for g in members:
         x = codec.encode(g)
         if x in index:
             continue
         gens.append(g)
         tables.append(codec.table(g))
         elements, index, right = _closure(tables, elements + [x])
-        if len(elements) == target:
+        if len(elements) >= target:
             break
-    assert len(elements) == target
+    if len(elements) < target:
+        raise GroupClosureError(f"closure reached {len(elements)} elements, expected {target}")
     return tuple(gens), (elements, index, right)
 
 
@@ -373,45 +374,6 @@ def _closure_seeds(F: GFTable, n: int, u2_elements):
     return seeds
 
 
-def _closure_elements(F: GFTable, n: int, q: PrimePower, budgets: Budgets):
-    """Row codes, generators and closure (see _closure) of U(n, F_q), identity form."""
-    predicted = unitary_order(n, q.q)
-    if predicted > budgets.group_order:
-        raise BudgetExceededError(
-            f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
-        )
-    codec = _RowCodes(F, n)
-    # embedded U(2) blocks; at n = 1 no such block fits and U(1) itself is used
-    b = min(n, 2)
-    u2 = _entrywise_elements(F, b, identity(b))
-    u2_gens, _ = _greedy_generators(_RowCodes(F, b), u2)
-    gens = [_embed_block(n, g, pos) for pos in range(n - b + 1) for g in u2_gens]
-    tables = [codec.table(g) for g in gens]
-    elements, index, right = _closure(tables, [codec.identity])
-    if len(elements) != predicted and n > 2:
-        # q = 2 is special: U(2, F_2) is monomial, so 2x2 blocks only reach
-        # the monomial subgroup; embedded 3x3 blocks repair that
-        if q.q ** 18 > budgets.entry_scan:
-            raise BudgetExceededError(
-                f"U(3, F_{q.q}) block scan size {q.q ** 18} exceeds budget {budgets.entry_scan}"
-            )
-        u3 = _entrywise_elements(F, 3, identity(3))
-        u3_gens, _ = _greedy_generators(_RowCodes(F, 3), u3)
-        extra = [_embed_block(n, g, pos) for pos in range(n - 2) for g in u3_gens]
-        gens += extra
-        tables += [codec.table(g) for g in extra]
-        elements, index, right = _closure(tables, elements)
-    if len(elements) != predicted:
-        raise GroupClosureError(
-            f"closure reached {len(elements)} elements, expected {predicted}"
-        )
-    # the baseline seed set must sit inside the closure
-    for seed in _closure_seeds(F, n, u2):
-        if codec.encode(seed) not in index:
-            raise GroupClosureError("seed matrix escaped the closure")
-    return codec, tuple(gens), (elements, index, right)
-
-
 def enumerate_group(
     n: int,
     q,
@@ -421,10 +383,14 @@ def enumerate_group(
 ) -> GroupEnumeration:
     """Materialize U(n, F_q) for the given form.
 
-    entrywise filters all candidate matrices (bounded by q^(2 n^2)); closure
-    grows the group from embedded U(2) generators and verifies the order
-    formula.  Non-identity forms are reached by transporting the identity
-    form group through a congruence.
+    Both strategies take generators greedily from the column-by-column
+    unitary search over M_n.  entrywise drains the search (bounded by
+    q^(2 n^2)) and stops once the closure holds every member; closure stops
+    the search as soon as the closure has as many elements as the order
+    formula (bounded by the group budget), then checks that the embedded
+    U(2) blocks and the monomial matrices lie inside it.  Either way the
+    order must equal the formula.  Non-identity forms are reached by
+    transporting the identity form group through a congruence.
     """
     pp = q if isinstance(q, PrimePower) else prime_power(q)
     F = table_for(pp)
@@ -451,32 +417,34 @@ def enumerate_group(
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
     if strategy == "auto":
-        if entry_cost <= 10**6:
-            strategy = "entrywise"
-        elif predicted <= budgets.group_order:
-            strategy = "closure"
-        elif entry_cost <= budgets.entry_scan:
-            strategy = "entrywise"
-        else:
-            raise BudgetExceededError(
-                f"U({n}, F_{pp.q}) is out of reach: entry scan {entry_cost}, order {predicted}"
-            )
+        strategy = "entrywise" if entry_cost <= 10**6 else "closure"
     if strategy == "entrywise":
         if entry_cost > budgets.entry_scan:
             raise BudgetExceededError(
                 f"entrywise scan size {entry_cost} exceeds budget {budgets.entry_scan}"
             )
-        codec = _RowCodes(F, n)
-        gens, closure = _greedy_generators(codec, _entrywise_elements(F, n, form.gram))
+        members = sorted(_entrywise_members(F, n, form.gram))
+        target = len(members)
     elif strategy == "closure":
-        codec, gens, closure = _closure_elements(F, n, pp, budgets)
+        if predicted > budgets.group_order:
+            raise BudgetExceededError(
+                f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
+            )
+        members, target = _entrywise_members(F, n, form.gram), predicted
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    codes, index, right = closure
+    codec = _RowCodes(F, n)
+    gens, (codes, index, right) = _greedy_generators(codec, members, target)
     if len(codes) != predicted:
         raise GroupClosureError(
             f"enumerated order {len(codes)} contradicts the formula {predicted}"
         )
+    if strategy == "closure":
+        # the baseline seed set must sit inside the closure
+        b = min(n, 2)
+        for seed in _closure_seeds(F, n, list(_entrywise_members(F, b, identity(b)))):
+            if codec.encode(seed) not in index:
+                raise GroupClosureError("seed matrix escaped the closure")
     # x^(-1) = J^(-1) x* J is x* for the identity form
     inverse = [index[codec.adjoint(x)] for x in codes]
     return _sorted_group(form, codec, codes, gens, right, inverse, strategy)
@@ -1254,7 +1222,8 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order
     else:
-        found = _representative_records(enumerate_class_data(n, pp, "all"), form, budgets)
+        data = enumerate_class_data(n, pp, "all", max_n=n, max_q=pp.q)
+        found = _representative_records(data, form, budgets)
         strategy, group_order = "representatives", None
     records = sorted(
         (

@@ -230,16 +230,14 @@ def test_budget_exhaustion_exit_three(capsys):
     assert payload["disagreements"] == 0
 
 
-def test_closure_repair_over_budget_falls_back(capsys):
-    # U(4, F_2) fits the order budget, but its closure needs the 3x3-block
-    # repair, whose 2^18-candidate scan does not fit: that is a budget
-    # shortfall, so verify falls back to the representatives path, whose
-    # unitary search then decides every class
+def test_closure_within_the_order_budget(capsys):
+    # |U(4, F_2)| = 77760 fits the order budget, the only cap on the closure
+    # strategy, so verify materializes the group
     code, out, _ = run(
         capsys, "verify", "--q", "2", "--n", "4", "--budget", "100000", "--format", "plain"
     )
     assert code == 0
-    assert out == "U(4, F_2): 60 classes, 0 disagreements, 0 undecided (representatives)\n"
+    assert out == "U(4, F_2): 60 classes, 0 disagreements, 0 undecided (closure)\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -19,7 +19,7 @@ from strongreal.linalg import conj_transpose, identity, mat_inv, mat_mul
 from strongreal.oracle import (
     _closure_seeds,
     _conjugation_orbits,
-    _entrywise_elements,
+    _entrywise_members,
     _RowCodes,
     _times,
     anti_diagonal,
@@ -181,5 +181,5 @@ def reference_closure_seeds(F, n, u2_elements):
 def test_closure_seeds_match_reference(q, n):
     F = table_for(prime_power(q))
     b = min(n, 2)
-    u2 = _entrywise_elements(F, b, identity(b))
+    u2 = list(_entrywise_members(F, b, identity(b)))
     assert _closure_seeds(F, n, u2) == reference_closure_seeds(F, n, u2)

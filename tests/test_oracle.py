@@ -8,7 +8,12 @@ from strongreal import oracle
 from strongreal.classdata import centralizer_order, commutant_dim, partition, unipotent_datum
 from strongreal.classify import NOT_STRONGLY_REAL, STRONGLY_REAL
 from strongreal.counting import enumerate_class_data, series_K
-from strongreal.errors import BudgetExceededError, CountMismatchError, RealizationError
+from strongreal.errors import (
+    BudgetExceededError,
+    CountMismatchError,
+    GroupClosureError,
+    RealizationError,
+)
 from strongreal.fields import PrimePower, prime_power, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
@@ -75,10 +80,49 @@ def test_enumerate_group_orders_and_unitarity():
 
 
 def test_entrywise_and_closure_agree():
-    for n, pp in ((2, PP2), (2, PP3)):
-        a = enumerate_group(n, pp, strategy="entrywise")
-        b = enumerate_group(n, pp, strategy="closure")
+    # U(2, F_2) is monomial (every nonzero norm is 1), so a closure of
+    # embedded 2x2 blocks would stop at the monomial subgroup of U(3, F_2)
+    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2)):
+        a = enumerate_group(n, q, strategy="entrywise")
+        b = enumerate_group(n, q, strategy="closure")
         assert a.elements == b.elements
+        assert a.inverse == b.inverse
+
+
+# the labels perfbench/expected.json pins for the verify_group jobs, plus
+# the full-group U(4, F_2)
+@pytest.mark.parametrize(
+    "n,q,strategy",
+    [
+        (2, 4, "entrywise"),
+        (2, 5, "entrywise"),
+        (3, 2, "entrywise"),
+        (2, 7, "closure"),
+        (3, 3, "closure"),
+        (4, 2, "closure"),
+    ],
+)
+def test_auto_strategy(n, q, strategy):
+    grp = enumerate_group(n, q)
+    assert (grp.strategy, grp.order) == (strategy, unitary_order(n, q))
+
+
+@pytest.mark.parametrize("strategy", ["entrywise", "closure"])
+def test_wrong_order_formula_is_a_closure_error(strategy, monkeypatch):
+    true_order = unitary_order(2, 3)
+    monkeypatch.setattr(oracle, "unitary_order", lambda n, q: true_order + 1)
+    with pytest.raises(GroupClosureError):
+        enumerate_group(2, PP3, strategy=strategy)
+
+
+def test_seed_outside_the_closure_is_a_closure_error(monkeypatch):
+    seeds = oracle._closure_seeds
+    non_member = ((1, 1), (0, 1))  # not unitary
+    monkeypatch.setattr(
+        oracle, "_closure_seeds", lambda *args: seeds(*args) | {non_member}
+    )
+    with pytest.raises(GroupClosureError, match="seed matrix escaped the closure"):
+        enumerate_group(2, PP3, strategy="closure")
 
 
 def test_closure_u33_order():
@@ -467,10 +511,20 @@ def test_image_outside_the_enumeration_raises(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "enumerate_class_data",
-        lambda n, pp, which: [d for d in enumerated(n, pp, which) if d != minus_one],
+        lambda n, pp, which, **kw: [
+            d for d in enumerated(n, pp, which, **kw) if d != minus_one
+        ],
     )
     with pytest.raises(CountMismatchError, match="not among the class data"):
         reconcile(2, 3, NO_GROUP)
+
+
+def test_representatives_path_enumerates_past_q5():
+    # the class enumeration is bounded to the group's own (n, q), as on the
+    # group path, not to the default q <= 5
+    report = reconcile(2, 7, NO_GROUP)
+    assert report.strategy == "representatives"
+    assert len(report.records) == 64
 
 
 def test_one_realization_per_orbit_u35(monkeypatch):
@@ -498,21 +552,6 @@ def test_witnesses_give_involution_factorizations():
         sg = mat_mul(F, s, g)
         assert mat_mul(F, sg, sg) == identity(4)
         assert mat_mul(F, s, sg) == g
-
-
-def test_closure_repair_for_q2():
-    # U(2, F_2) is monomial (every nonzero norm is 1), so 2x2 blocks alone
-    # close on the monomial subgroup; the 3x3-block repair must kick in
-    grp = enumerate_group(3, PP2, strategy="closure")
-    assert grp.order == 648
-    assert grp.elements == enumerate_group(3, PP2, strategy="entrywise").elements
-
-
-def test_closure_repair_over_budget_is_a_budget_error():
-    # the 3x3-block repair scans 2^18 candidates; a smaller entry budget is a
-    # budget shortfall, not a wrong closure
-    with pytest.raises(BudgetExceededError):
-        enumerate_group(3, PP2, strategy="closure", budgets=Budgets(entry_scan=10**5))
 
 
 @pytest.mark.stretch
