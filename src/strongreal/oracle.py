@@ -323,7 +323,8 @@ def _closure(tables, start):
 def _greedy_generators(codec: _RowCodes, members, target: int):
     """Small deterministic generating set taken from members by greedy
     accumulation, until the closure it reaches has target elements; also
-    returns that closure.  Members run out first: GroupClosureError."""
+    returns that closure.  Raises GroupClosureError if the members run out
+    before that."""
     gens: list = []
     tables: list = []
     elements, index, right = [codec.identity], {codec.identity: 0}, []
