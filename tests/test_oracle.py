@@ -80,13 +80,22 @@ def test_enumerate_group_orders_and_unitarity():
 
 
 def test_entrywise_and_closure_agree():
-    # U(2, F_2) is monomial (every nonzero norm is 1), so a closure of
-    # embedded 2x2 blocks would stop at the monomial subgroup of U(3, F_2)
-    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2)):
+    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7)):
         a = enumerate_group(n, q, strategy="entrywise")
         b = enumerate_group(n, q, strategy="closure")
         assert a.elements == b.elements
         assert a.inverse == b.inverse
+
+
+def test_closure_repair_for_q2():
+    # U(2, F_2) is monomial (every nonzero norm is 1), so a closure of
+    # embedded 2x2 blocks would stop at the monomial subgroup of U(3, F_2);
+    # the generators from the unitary search must reach the whole group
+    a = enumerate_group(3, PP2, strategy="entrywise")
+    b = enumerate_group(3, PP2, strategy="closure")
+    assert b.order == 648
+    assert a.elements == b.elements
+    assert a.inverse == b.inverse
 
 
 # the labels perfbench/expected.json pins for the verify_group jobs, plus
