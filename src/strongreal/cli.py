@@ -45,6 +45,22 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def size(text: str) -> int:
+    """argparse type of the size options; argparse names it in "invalid size value"."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _read_datum(path: str, q, reader):
+    with open(path) as fh:
+        datum = reader(json.load(fh))
+    if datum.q != q:
+        raise UsageError("datum file is for a different q")
+    return datum
+
+
 def _parse_partition(text: str):
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -85,8 +101,7 @@ def _cmd_classify(args) -> int:
         if q.p == 2:
             raise UsageError("symplectic classification requires odd q")
         if args.datum:
-            with open(args.datum) as fh:
-                datum = sp_datum_from_json(json.load(fh))
+            datum = _read_datum(args.datum, q, sp_datum_from_json)
         elif args.unipotent:
             datum = symplectic_datum(
                 q, {}, signed_plus=_parse_signed_partition(args.unipotent)
@@ -96,10 +111,7 @@ def _cmd_classify(args) -> int:
         verdict = classify_mod.sp_strongly_real(datum)
     else:
         if args.datum:
-            with open(args.datum) as fh:
-                datum = datum_from_json(json.load(fh))
-            if datum.q != q:
-                raise UsageError("datum file is for a different q")
+            datum = _read_datum(args.datum, q, datum_from_json)
         elif args.unipotent:
             datum = unipotent_datum(q, _parse_partition(args.unipotent))
         else:
@@ -158,10 +170,7 @@ def _cmd_series(args) -> int:
 def _cmd_realize(args) -> int:
     q = prime_power(args.q)
     budgets = _budgets(args)
-    with open(args.datum) as fh:
-        datum = datum_from_json(json.load(fh))
-    if datum.q != q:
-        raise UsageError("datum file is for a different q")
+    datum = _read_datum(args.datum, q, datum_from_json)
     form = identity_form(datum.n, q)
     g = realize_class(datum, form, budgets)
     ctx = make_context(q, 2)
@@ -218,13 +227,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="K/R/T table with cross-checks")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p.add_argument("--n-max", type=size, required=True, dest="n_max")
     p.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("list", help="stream class data as JSON lines")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=size, required=True)
     p.add_argument(
         "--filter", choices=("all", "real", "strongly_real"), default="all"
     )
@@ -232,7 +241,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("series", help="series coefficients")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=size, required=True)
     p.add_argument("--which", required=True, help="K, R, or T")
     p.add_argument("--format", choices=("json", "plain"), default="json")
     p.set_defaults(func=_cmd_series)
@@ -245,7 +254,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="brute-force reconciliation")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=size, required=True)
     p.add_argument("--budget", type=int, help="cap on every search budget (>= 1)")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
     p.add_argument("--format", choices=("json", "plain"), default="json")

@@ -10,6 +10,7 @@ into a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -150,12 +151,13 @@ def standard_forms(n: int, q: PrimePower) -> list[HermitianForm]:
 #
 # The group path runs on row codes.  A row (r_0, ..., r_{n-1}) over GF(q^2)
 # is coded as the big-endian base-q^2 int sum r_j q^(2(n-1-j)), and a matrix
-# as the tuple of its row codes; tuples of codes sort like the matrices they
-# code.  Right multiplication by a fixed g is one table from row code to row
-# code, so x * g costs n lookups.  Closure records, for each generator, its
-# right-multiplication permutation of element indices; with the inverse
-# permutation these give conjugation, involutions and reversers without a
-# single matrix product per element.
+# as the tuple of its row codes.  Right multiplication by a fixed g is one
+# table from row code to row code, so x * g costs n lookups.  Closure
+# records, for each generator, its right-multiplication permutation of
+# element indices; with the inverse permutation these give conjugation,
+# involutions and reversers without a single matrix product per element.
+# The group keeps its elements as codes, in the order the closure reached
+# them, and decodes only the matrices it hands out.
 
 
 class _RowCodes:
@@ -195,81 +197,58 @@ def _times(x: tuple, table: list) -> tuple:
 
 @dataclass
 class GroupEnumeration:
-    """A fully materialized unitary group for a fixed form.
+    """A fully materialized unitary group for a fixed form, kept as its
+    closure found it.
 
-    Besides the sorted elements it keeps what the searches run on: codes[i]
-    is the row code of elements[i] under codec, right[k][i] the index of
-    elements[i] * generators[k], and inverse[i] the index of elements[i]^(-1).
+    codes[i] is the row code under codec of element i, in the order the
+    closure reached the elements (the identity first); index maps a code
+    back to i, right[k][i] is the index of element i * generators[k], and
+    inverse[i] the index of element i^(-1).  elements decodes every code.
     """
 
     form: HermitianForm
-    elements: tuple
     generators: tuple
     strategy: str
     codec: _RowCodes = field(repr=False, compare=False)
-    codes: tuple = field(repr=False, compare=False)
-    right: tuple = field(repr=False, compare=False)
-    inverse: tuple = field(repr=False, compare=False)
+    codes: list = field(repr=False)
+    index: dict = field(repr=False, compare=False)
+    right: list = field(repr=False, compare=False)
+    inverse: list = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        self._index = {x: i for i, x in enumerate(self.codes)}
-        self._involutions = None
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(map(self.codec.decode, self.codes))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __contains__(self, g) -> bool:
         code = self.codec.code
-        return tuple([code.get(row) for row in g]) in self._index
+        return tuple([code.get(row) for row in g]) in self.index
 
+    @functools.cached_property
     def involution_indices(self) -> tuple:
         """Indices of the s with s^2 = 1 (the identity included)."""
-        if self._involutions is None:
-            self._involutions = tuple(i for i, j in enumerate(self.inverse) if i == j)
-        return self._involutions
+        return tuple(i for i, j in enumerate(self.inverse) if i == j)
 
     def involutions(self):
-        return tuple(self.elements[i] for i in self.involution_indices())
+        return tuple(self.codec.decode(self.codes[i]) for i in self.involution_indices)
 
     def reversers(self, g: Matrix, involution: bool):
-        """Elements h with h g h^(-1) = g^(-1), lazily and in sorted order;
+        """Elements h with h g h^(-1) = g^(-1), lazily and in index order;
         only involutions if asked.  g must be an element."""
         if g not in self:
             raise ValueError("g is not an element of the group")
-        codes, index, inverse = self.codes, self._index, self.inverse
-        candidates = self.involution_indices() if involution else range(self.order)
+        codes, index, inverse = self.codes, self.index, self.inverse
+        candidates = self.involution_indices if involution else range(self.order)
         # h g h^(-1) = g^(-1) iff (h g)(h^(-1) g) = 1; the candidates are
         # closed under inversion, so only their rows need a product with g
         rows = list({r for i in candidates for r in codes[i]})
         table = dict(zip(rows, self.codec.products(rows, g)))
         for i in candidates:
             if inverse[index[_times(codes[i], table)]] == index[_times(codes[inverse[i]], table)]:
-                yield self.elements[i]
-
-
-def _sorted_group(form, codec, codes, generators, right, inverse, strategy):
-    """GroupEnumeration from coded elements in any order and their
-    permutations, re-indexed in sorted order."""
-    order = sorted(range(len(codes)), key=codes.__getitem__)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-
-    def relabel(perm):
-        return tuple([rank[perm[old]] for old in order])
-
-    codes = tuple([codes[old] for old in order])
-    return GroupEnumeration(
-        form,
-        tuple(map(codec.decode, codes)),
-        tuple(generators),
-        strategy,
-        codec,
-        codes,
-        tuple(map(relabel, right)),
-        relabel(inverse),
-    )
+                yield self.codec.decode(codes[i])
 
 
 def _hermitian_dot(F: GFTable, J: Matrix):
@@ -342,28 +321,13 @@ def _greedy_generators(codec: _RowCodes, members, target: int):
     return tuple(gens), (elements, index, right)
 
 
-def _embed_block(n: int, block: Matrix, pos: int) -> Matrix:
-    """block at rows/cols [pos, pos+len), identity elsewhere."""
-    m = len(block)
-    rows = []
-    for i in range(n):
-        if pos <= i < pos + m:
-            row = [0] * n
-            for j in range(m):
-                row[pos + j] = block[i - pos][j]
-        else:
-            row = [1 if j == i else 0 for j in range(n)]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _closure_seeds(F: GFTable, n: int, u2_elements):
     """The seed set: embedded U(2) blocks and scaled permutations, whose
     identity permutation gives the unitary diagonals."""
     seeds = set()
     for pos in range(n - 1):
         for m2 in u2_elements:
-            seeds.add(_embed_block(n, m2, pos))
+            seeds.add(_block_diag(identity(pos), m2, identity(n - pos - 2)))
     for perm in itertools.permutations(range(n)):
         for scalars in itertools.product(F.norm_one, repeat=n):
             seeds.add(
@@ -409,11 +373,9 @@ def enumerate_group(
             for x in base.codes
         ]
         gens = tuple(mat_mul(F, mat_mul(F, r, g), rinv) for g in base.generators)
-        out = _sorted_group(
-            form, codec, codes, gens, base.right, base.inverse, base.strategy + "+transport"
-        )
-        assert out.order == base.order
-        return out
+        index = {x: i for i, x in enumerate(codes)}
+        strategy = base.strategy + "+transport"
+        return GroupEnumeration(form, gens, strategy, codec, codes, index, base.right, base.inverse)
 
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
@@ -424,7 +386,7 @@ def enumerate_group(
             raise BudgetExceededError(
                 f"entrywise scan size {entry_cost} exceeds budget {budgets.entry_scan}"
             )
-        members = sorted(_entrywise_members(F, n, form.gram))
+        members = list(_entrywise_members(F, n, form.gram))
         target = len(members)
     elif strategy == "closure":
         if predicted > budgets.group_order:
@@ -448,7 +410,7 @@ def enumerate_group(
                 raise GroupClosureError("seed matrix escaped the closure")
     # x^(-1) = J^(-1) x* J is x* for the identity form
     inverse = [index[codec.adjoint(x)] for x in codes]
-    return _sorted_group(form, codec, codes, gens, right, inverse, strategy)
+    return GroupEnumeration(form, gens, strategy, codec, codes, index, right, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1036,7 @@ class OracleReport:
 
 def _conjugation_orbits(group: GroupEnumeration) -> list:
     """Conjugacy orbit id of every element index, ids numbered in the order
-    of each orbit's first (smallest) element.
+    of each orbit's first element in the group's index order.
 
     Conjugation by a generator h, x -> h^(-1) x h, is the index permutation
     inverse . right_h . inverse . right_h; orbits are its connected components.
@@ -1211,14 +1173,11 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         for i, oid in enumerate(orbit):
             reps.setdefault(oid, i)
         # reality from orbit ids: g^(-1) lies in the orbit of g
-        found = [
-            (
-                extract_class_datum(group.elements[i], pp),
-                orbit[group.inverse[i]] == oid,
-                is_strongly_real_oracle(group.elements[i], form, group, budgets),
-            )
-            for oid, i in reps.items()
-        ]
+        found = []
+        for oid, i in reps.items():
+            g = group.codec.decode(group.codes[i])
+            sr = is_strongly_real_oracle(g, form, group, budgets)
+            found.append((extract_class_datum(g, pp), orbit[group.inverse[i]] == oid, sr))
         sizes = Counter(orbit)
         _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order

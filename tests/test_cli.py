@@ -73,6 +73,22 @@ def test_classify_sp(capsys):
     assert json.loads(out)["status"] == "Unknown"
 
 
+def test_classify_sp_datum_file_checks_q(tmp_path, capsys):
+    # the symplectic branch reads --datum like the unitary one: a file for
+    # another q is a usage error, not a verdict for that q
+    path = tmp_path / "sp_datum.json"
+    path.write_text(
+        json.dumps({"q": {"p": 3, "e": 1}, "t_minus_1": {"partition": [2], "signs": {"2": "+"}}})
+    )
+    code, out, _ = run(capsys, "classify", "--q", "3", "--sp", "--datum", str(path))
+    assert code == 0
+    assert json.loads(out)["rule"] == "SpCor"
+    code, out, err = run(capsys, "classify", "--q", "5", "--sp", "--datum", str(path))
+    assert code == 1
+    assert out == ""
+    assert "datum file is for a different q" in err
+
+
 def test_classify_sp_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "--q", "3", "--sp", "--unipotent", "2")
     assert code == 1 and "suffix" in err
@@ -249,6 +265,33 @@ def test_budget_below_one_is_a_usage_error(capsys, value):
         assert code == 1
         assert out == ""
         assert "--budget" in err
+
+
+@pytest.mark.parametrize(
+    "verb,option",
+    [("verify", "--n"), ("list", "--n"), ("count", "--n-max"), ("series", "--order")],
+)
+def test_negative_size_is_a_usage_error(capsys, verb, option):
+    extra = ["--which", "T"] if verb == "series" else []
+    code, out, err = run(capsys, verb, "--q", "3", option, "-1", *extra)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("q,strategy", [(3, "closure"), (2, "entrywise")])
+def test_verify_output_does_not_depend_on_the_hash_seed(capsys, q, strategy):
+    argv = ["verify", "--q", str(q), "--n", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["strategy"] == strategy
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongreal", *argv],
+            capture_output=True, text=True, env=dict(src_env(), PYTHONHASHSEED=seed), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
 
 
 @pytest.mark.parametrize("n", [1, 2])

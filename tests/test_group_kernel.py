@@ -101,7 +101,12 @@ def test_kernel_matches_matrix_reference(n, q, transported):
     closure, orbits, involutions = _reference(F, group)
 
     assert set(group.elements) == closure
-    assert list(group.elements) == sorted(closure)
+    # kept in the closure's order: the identity first, one index per code
+    assert group.elements[0] == identity(n)
+    assert len(group.index) == group.order
+    for i, x in enumerate(group.codes):
+        assert group.elements[i] == group.codec.decode(x)
+        assert group.index[x] == i
     for i, g in enumerate(group.elements):
         assert group.elements[group.inverse[i]] == mat_inv(F, g)
         for h, right in zip(group.generators, group.right):
@@ -160,12 +165,24 @@ def test_reconcile_checks_orbit_sizes(monkeypatch):
         reconcile(2, 3)
 
 
+def embed_block(n, block, pos):
+    """block at rows and columns [pos, pos + len(block)), identity elsewhere."""
+    inside = range(pos, pos + len(block))
+    return tuple(
+        tuple(
+            block[i - pos][j - pos] if i in inside and j in inside else int(i == j)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def reference_closure_seeds(F, n, u2_elements):
     """The seed set with the unitary diagonals built on their own as well."""
     seeds = set()
     for pos in range(n - 1):
         for m2 in u2_elements:
-            seeds.add(oracle._embed_block(n, m2, pos))
+            seeds.add(embed_block(n, m2, pos))
     for diag in itertools.product(F.norm_one, repeat=n):
         seeds.add(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
     for perm in itertools.permutations(range(n)):

@@ -1,5 +1,7 @@
 """Brute-force oracle: groups, realization, searches, reconciliation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -79,12 +81,21 @@ def test_enumerate_group_orders_and_unitarity():
             assert is_unitary(F, g, J)
 
 
+def assert_same_closure(a, b):
+    # both strategies read the unitary search in one order, so they take the
+    # same generators and reach the same elements in the same order
+    assert a.generators == b.generators
+    assert a.codes == b.codes
+    assert a.right == b.right
+    assert a.inverse == b.inverse
+    assert a.elements == b.elements
+
+
 def test_entrywise_and_closure_agree():
     for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7)):
         a = enumerate_group(n, q, strategy="entrywise")
         b = enumerate_group(n, q, strategy="closure")
-        assert a.elements == b.elements
-        assert a.inverse == b.inverse
+        assert_same_closure(a, b)
 
 
 def test_closure_repair_for_q2():
@@ -94,8 +105,27 @@ def test_closure_repair_for_q2():
     a = enumerate_group(3, PP2, strategy="entrywise")
     b = enumerate_group(3, PP2, strategy="closure")
     assert b.order == 648
-    assert a.elements == b.elements
-    assert a.inverse == b.inverse
+    assert_same_closure(a, b)
+
+
+# SHA-256 of the sorted-key JSON, without timing, that reconcile gave at the
+# default budgets while the group was still re-sorted into matrix order
+RECONCILE_SHA256 = {
+    (3, 3): "01f1f78642cd930c68c0eb33d3ae1d4c72641d867ee78cab88dcf6a2b2ead13d",
+    (2, 7): "86a6fd74c3abdb1062499e5aecb307c66bfeaaa7e6053b4da1a0373aece218ef",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(RECONCILE_SHA256))
+def test_reconcile_decodes_only_representatives(monkeypatch, n, q):
+    def refuse(group):
+        raise AssertionError("reconcile decoded every element of the group")
+
+    monkeypatch.setattr(oracle.GroupEnumeration, "elements", property(refuse))
+    report = reconcile(n, q)
+    assert report.strategy == "closure"
+    payload = json.dumps(report.to_json(include_timing=False), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == RECONCILE_SHA256[(n, q)]
 
 
 # the labels perfbench/expected.json pins for the verify_group jobs, plus
