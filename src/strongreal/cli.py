@@ -55,7 +55,11 @@ def size(text: str) -> int:
 
 def _read_datum(path: str, q, reader):
     with open(path) as fh:
-        datum = reader(json.load(fh))
+        obj = json.load(fh)
+    try:
+        datum = reader(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed datum file: {exc!r}") from None
     if datum.q != q:
         raise UsageError("datum file is for a different q")
     return datum

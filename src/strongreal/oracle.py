@@ -278,91 +278,73 @@ def _entrywise_members(F: GFTable, n: int, J: Matrix):
     return _unitary_members(F, basis, J, math.inf)
 
 
-def _closure(tables, start):
-    """Right-multiplication closure of the distinct coded elements start
-    under the generator tables, breadth first, with one index dict.
+def _grow_closure(codec: _RowCodes, members, target: int):
+    """Small deterministic generating set taken from members greedily, each
+    member outside the closure so far becoming a generator, until the
+    closure has target elements.  The closure grows in place: a new
+    generator's permutation first runs over the elements found before it,
+    then every permutation runs over the elements found since.
 
-    Returns (elements in discovery order, their index, and per table the
-    permutation i -> index of elements[i] * generator).
+    Returns (generators, codes in discovery order with the identity first,
+    their index, and per generator the permutation i -> index of
+    codes[i] * generator).  Raises GroupClosureError if the members run out
+    first.
     """
-    elements = list(start)
-    index = {x: i for i, x in enumerate(elements)}
-    right: list = [[] for _ in tables]
-    for x in elements:  # grows while it is scanned
-        for table, perm in zip(tables, right):
-            y = tuple([table[r] for r in x])  # _times, inlined in the hottest loop
-            j = index.get(y)
-            if j is None:
-                j = index[y] = len(elements)
-                elements.append(y)
-            perm.append(j)
-    return elements, index, right
-
-
-def _greedy_generators(codec: _RowCodes, members, target: int):
-    """Small deterministic generating set taken from members by greedy
-    accumulation, until the closure it reaches has target elements; also
-    returns that closure.  Raises GroupClosureError if the members run out
-    before that."""
     gens: list = []
-    tables: list = []
-    elements, index, right = [codec.identity], {codec.identity: 0}, []
+    right: list = []
+    pairs: list = []  # (table, permutation) per generator
+    codes, index = [codec.identity], {codec.identity: 0}
+
+    def scan(xs, pairs):
+        for x in xs:  # codes grows while it is scanned
+            for table, perm in pairs:
+                y = tuple([table[r] for r in x])  # _times, inlined in the hottest loop
+                j = index.get(y)
+                if j is None:
+                    j = index[y] = len(codes)
+                    codes.append(y)
+                perm.append(j)
+
     for g in members:
-        x = codec.encode(g)
-        if x in index:
+        if codec.encode(g) in index:
             continue
+        found = len(codes)
         gens.append(g)
-        tables.append(codec.table(g))
-        elements, index, right = _closure(tables, elements + [x])
-        if len(elements) >= target:
+        right.append([])
+        pairs.append((codec.table(g), right[-1]))
+        scan(itertools.islice(codes, found), pairs[-1:])
+        scan(itertools.islice(codes, found, None), pairs)
+        if len(codes) >= target:
             break
-    if len(elements) < target:
-        raise GroupClosureError(f"closure reached {len(elements)} elements, expected {target}")
-    return tuple(gens), (elements, index, right)
-
-
-def _closure_seeds(F: GFTable, n: int, u2_elements):
-    """The seed set: embedded U(2) blocks and scaled permutations, whose
-    identity permutation gives the unitary diagonals."""
-    seeds = set()
-    for pos in range(n - 1):
-        for m2 in u2_elements:
-            seeds.add(_block_diag(identity(pos), m2, identity(n - pos - 2)))
-    for perm in itertools.permutations(range(n)):
-        for scalars in itertools.product(F.norm_one, repeat=n):
-            seeds.add(
-                tuple(
-                    tuple(scalars[i] if j == perm[i] else 0 for j in range(n))
-                    for i in range(n)
-                )
-            )
-    return seeds
+    if len(codes) < target:
+        raise GroupClosureError(f"closure reached {len(codes)} elements, expected {target}")
+    return tuple(gens), codes, index, right
 
 
 def enumerate_group(
     n: int,
     q,
     form: HermitianForm | None = None,
-    strategy: str = "auto",
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> GroupEnumeration:
     """Materialize U(n, F_q) for the given form.
 
-    Both strategies take generators greedily from the column-by-column
-    unitary search over M_n.  entrywise drains the search (bounded by
-    q^(2 n^2)) and stops once the closure holds every member; closure stops
-    the search as soon as the closure has as many elements as the order
-    formula (bounded by the group budget), then checks that the embedded
-    U(2) blocks and the monomial matrices lie inside it.  Either way the
-    order must equal the formula.  Non-identity forms are reached by
-    transporting the identity form group through a congruence.
+    Generators are taken greedily from the column-by-column unitary search
+    over M_n until the closure has as many elements as the order formula.
+    When q^(2 n^2) <= 10^6 the search is drained first (label entrywise,
+    guarded by the entry-scan budget) and must find exactly that many
+    members; otherwise it stops as soon as the closure is complete (label
+    closure, guarded by the group budget).  Every generator must pass
+    is_unitary, so the closure lies in U(n, F_q), and its order must equal
+    the formula, so it is all of U(n, F_q).  Non-identity forms are reached
+    by transporting the identity form group through a congruence.
     """
     pp = q if isinstance(q, PrimePower) else prime_power(q)
     F = table_for(pp)
     if form is None:
         form = identity_form(n, pp)
     if form.gram != identity(n):
-        base = enumerate_group(n, pp, None, strategy, budgets)
+        base = enumerate_group(n, pp, None, budgets)
         r = congruence_to_identity(F, form.gram)
         rinv = mat_inv(F, r)
         # x -> r x r^(-1) as ((x r^(-1))* r*)*
@@ -379,35 +361,32 @@ def enumerate_group(
 
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
-    if strategy == "auto":
-        strategy = "entrywise" if entry_cost <= 10**6 else "closure"
-    if strategy == "entrywise":
+    members = _entrywise_members(F, n, form.gram)
+    if entry_cost <= 10**6:
+        strategy = "entrywise"
         if entry_cost > budgets.entry_scan:
             raise BudgetExceededError(
                 f"entrywise scan size {entry_cost} exceeds budget {budgets.entry_scan}"
             )
-        members = list(_entrywise_members(F, n, form.gram))
-        target = len(members)
-    elif strategy == "closure":
+        members = list(members)
+        if len(members) != predicted:
+            raise GroupClosureError(
+                f"unitary search found {len(members)} members, expected {predicted}"
+            )
+    else:
+        strategy = "closure"
         if predicted > budgets.group_order:
             raise BudgetExceededError(
                 f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
             )
-        members, target = _entrywise_members(F, n, form.gram), predicted
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     codec = _RowCodes(F, n)
-    gens, (codes, index, right) = _greedy_generators(codec, members, target)
+    gens, codes, index, right = _grow_closure(codec, members, predicted)
     if len(codes) != predicted:
         raise GroupClosureError(
             f"enumerated order {len(codes)} contradicts the formula {predicted}"
         )
-    if strategy == "closure":
-        # the baseline seed set must sit inside the closure
-        b = min(n, 2)
-        for seed in _closure_seeds(F, n, list(_entrywise_members(F, b, identity(b)))):
-            if codec.encode(seed) not in index:
-                raise GroupClosureError("seed matrix escaped the closure")
+    if not all(is_unitary(F, g, form.gram) for g in gens):
+        raise GroupClosureError("a generator failed the unitarity check")
     # x^(-1) = J^(-1) x* J is x* for the identity form
     inverse = [index[codec.adjoint(x)] for x in codes]
     return GroupEnumeration(form, gens, strategy, codec, codes, index, right, inverse)
@@ -709,6 +688,8 @@ def explicit_representative(kind: str, q, r: int = 1, m: int = 0):
             raise ValueError("two_one requires odd q")
         if r < 1 or r % 2 == 0:
             raise ValueError("two_one requires odd r >= 1")
+        if m < 0:
+            raise ValueError("two_one requires m >= 0")
         a = next(x for x in F.trace_zero if x)
         n = 2 * r + m
         gram = _block_diag(anti_diagonal(2 * r), identity(m)) if m else anti_diagonal(2 * r)
@@ -1163,7 +1144,7 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     started = time.perf_counter()
     form = identity_form(n, pp)
     try:
-        group = enumerate_group(n, pp, form, "auto", budgets)
+        group = enumerate_group(n, pp, form, budgets)
     except BudgetExceededError:
         group = None
 

@@ -73,13 +73,14 @@ def test_classify_sp(capsys):
     assert json.loads(out)["status"] == "Unknown"
 
 
+SP_DATUM = {"q": {"p": 3, "e": 1}, "t_minus_1": {"partition": [2], "signs": {"2": "+"}}}
+
+
 def test_classify_sp_datum_file_checks_q(tmp_path, capsys):
     # the symplectic branch reads --datum like the unitary one: a file for
     # another q is a usage error, not a verdict for that q
     path = tmp_path / "sp_datum.json"
-    path.write_text(
-        json.dumps({"q": {"p": 3, "e": 1}, "t_minus_1": {"partition": [2], "signs": {"2": "+"}}})
-    )
+    path.write_text(json.dumps(SP_DATUM))
     code, out, _ = run(capsys, "classify", "--q", "3", "--sp", "--datum", str(path))
     assert code == 0
     assert json.loads(out)["rule"] == "SpCor"
@@ -87,6 +88,20 @@ def test_classify_sp_datum_file_checks_q(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "datum file is for a different q" in err
+
+
+@pytest.mark.parametrize(
+    "content", [{"q": 3}, [1, 2], SP_DATUM], ids=["bare-q", "list", "symplectic"]
+)
+def test_malformed_datum_file_is_a_usage_error(tmp_path, capsys, content):
+    # JSON that is not a unitary datum is a usage error, not a traceback
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(content))
+    for verb in ("classify", "realize"):
+        code, out, err = run(capsys, verb, "--q", "3", "--datum", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: malformed datum file")
 
 
 def test_classify_sp_usage_errors(capsys):
@@ -254,6 +269,26 @@ def test_closure_within_the_order_budget(capsys):
     )
     assert code == 0
     assert out == "U(4, F_2): 60 classes, 0 disagreements, 0 undecided (closure)\n"
+
+
+# one below and exactly at each guard: q^(2n^2) against the entry-scan
+# budget for entrywise, |U(n, F_q)| against the group budget for closure
+@pytest.mark.parametrize(
+    "q,n,guard,label,classes",
+    [
+        (5, 2, 5**8, "entrywise", 36),
+        (2, 3, 2**18, "entrywise", 24),
+        (3, 3, 24192, "closure", 56),
+    ],
+)
+def test_group_label_at_the_budget_guards(capsys, q, n, guard, label, classes):
+    for budget, chosen in ((guard - 1, "representatives"), (guard, label)):
+        code, out, _ = run(
+            capsys, "verify", "--q", str(q), "--n", str(n), "--budget", str(budget),
+            "--format", "plain",
+        )
+        assert code == 0
+        assert out == f"U({n}, F_{q}): {classes} classes, 0 disagreements, 0 undecided ({chosen})\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

