@@ -475,10 +475,16 @@ class GFTable:
         self.size = ctx.size
         n = ctx.size
         self.add = [[ctx.add(a, b) for b in range(n)] for a in range(n)]
-        self.mul = [[ctx.mul(a, b) for b in range(n)] for a in range(n)]
         self.neg = [ctx.neg(a) for a in range(n)]
-        self.inv = [0] + [ctx.inv(a) for a in range(1, n)]
-        self.conj = [ctx.frobenius_q(a, 1) for a in range(n)]
+        # mul, inv and conj (a -> a^q) from one pass over the powers of
+        # the generator: a b = exp[log a + log b], indices mod n - 1
+        m = n - 1
+        exp, log = ctx.exp_log(m)
+        logs = [log[a] for a in range(1, n)]
+        exp2 = exp + exp
+        self.mul = [[0] * n] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv = [0] + [exp[-la % m] for la in logs]
+        self.conj = [0] + [exp[la * ctx.pp.q % m] for la in logs]
         self.one = 1
         self.zero = 0
         self.base_elems = tuple(a for a in range(n) if self.conj[a] == a)

@@ -272,10 +272,14 @@ def _hermitian_dot(F: GFTable, J: Matrix):
 
 
 def _entrywise_members(F: GFTable, n: int, J: Matrix):
-    """All matrices with g* J g = J, lazily: the unitary members of M_n."""
+    """All matrices with g* J g = J, lazily: the unitary members of M_n.
+
+    Each column's coefficients run nonzero first, so the first members are
+    dense rather than nearly monomial, and a few of them generate the group.
+    """
     basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
     # uncapped: every caller bounds the size of the group first
-    return _unitary_members(F, basis, J, math.inf)
+    return _unitary_members(F, basis, J, math.inf, coeffs=[*range(1, F.size), 0])
 
 
 def _grow_closure(codec: _RowCodes, members, target: int):
@@ -802,7 +806,7 @@ def reversing_space(F: GFTable, g: Matrix):
     return [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)) for vec in kernel]
 
 
-def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
+def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
     """Members h of the GF(q^2)-span of basis with h* J h = J, lazily.
 
     The basis is put in reduced echelon form over the entries in
@@ -811,8 +815,10 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     Columns are chosen left to right.  The pairings u_i* J x = J[i][j] with
     the chosen columns u_i are linear in column x, so one elimination gives
     the affine set of candidates, which _span walks; each is tested against
-    x* J x = J[j][j].  A search node is one candidate tested; past budget
-    nodes the search raises BudgetExceededError.
+    x* J x = J[j][j].  The free coefficients of a column run through
+    coeffs, counter order over every field element (0 first) unless given.
+    A search node is one candidate tested; past budget nodes the search
+    raises BudgetExceededError.
 
     Every member's columns lie in the span of the columns of the basis
     matrices.  When that span is smaller than F^n no member is invertible,
@@ -821,6 +827,8 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
     n = len(J)
     if mat_rank(F, [col for B in basis for col in zip(*B)]) < n:
         return
+    if coeffs is None:
+        coeffs = range(F.size)
     add, mul = F.add, F.mul
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
@@ -853,7 +861,7 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int):
         if start is None:
             return
         directions = [(combine(v, heads, [0] * n),) for v in kernel if not v[-1]]
-        for x in _span(F, directions, range(F.size), combine(start, heads, a)):
+        for x in _span(F, directions, coeffs, combine(start, heads, a)):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"unitary search passed {budget} nodes")

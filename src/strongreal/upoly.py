@@ -73,7 +73,14 @@ def poly_one(ctx: FieldCtx) -> MonicPoly:
 
 
 def poly_from_json(ctx: FieldCtx, arr) -> MonicPoly:
-    return MonicPoly(ctx, tuple(ctx.from_coords(tuple(v)) for v in arr))
+    """Read coefficient coordinate vectors; each coordinate must be an int in
+    [0, p), since from_coords would silently reduce it mod p."""
+    p = ctx.p
+    vecs = [tuple(v) for v in arr]
+    for v in vecs:
+        if len(v) != ctx.deg or not all(type(c) is int and 0 <= c < p for c in v):
+            raise TypeError(f"a coefficient needs {ctx.deg} ints in [0, {p}), got {list(v)}")
+    return MonicPoly(ctx, tuple(map(ctx.from_coords, vecs)))
 
 
 def padd(F: GFTable, a, b):

@@ -90,11 +90,39 @@ def test_classify_sp_datum_file_checks_q(tmp_path, capsys):
     assert "datum file is for a different q" in err
 
 
+def unitary_datum_with_poly(poly):
+    """The datum of the scalar class t + 1 of U(1, F_3), with its poly replaced."""
+    return {"blocks": [{"partition": [1], "poly": poly}], "n": 1, "q": {"e": 1, "p": 3}}
+
+
 @pytest.mark.parametrize(
-    "content", [{"q": 3}, [1, 2], SP_DATUM], ids=["bare-q", "list", "symplectic"]
+    "content",
+    [
+        {"q": 3},
+        [1, 2],
+        SP_DATUM,
+        unitary_datum_with_poly([[4, 0]]),
+        unitary_datum_with_poly([[-2, 0]]),
+        unitary_datum_with_poly([[1.0, 0]]),
+        unitary_datum_with_poly([[True, 0]]),
+        unitary_datum_with_poly([[1]]),
+        unitary_datum_with_poly([[1, 0, 0]]),
+    ],
+    ids=[
+        "bare-q",
+        "list",
+        "symplectic",
+        "coordinate-p-plus-1",
+        "negative-coordinate",
+        "float-coordinate",
+        "bool-coordinate",
+        "short-vector",
+        "long-vector",
+    ],
 )
 def test_malformed_datum_file_is_a_usage_error(tmp_path, capsys, content):
-    # JSON that is not a unitary datum is a usage error, not a traceback
+    # JSON that is not a unitary datum is a usage error, not a traceback; a
+    # coordinate outside [0, p) is not reduced mod p into another datum
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(content))
     for verb in ("classify", "realize"):

@@ -223,3 +223,16 @@ def test_table_structure():
         assert F.mul[F.one][F.one] == 1
         for a in range(1, F.size):
             assert F.mul[a][F.inv[a]] == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tables_match_schoolbook_arithmetic(q, k):
+    # mul, inv and conj come from the exp/log tables of one generator; the
+    # reference is the context's own polynomial arithmetic
+    ctx = make_context(prime_power(q), k)
+    F = table_for(prime_power(q), k)
+    n = ctx.size
+    assert F.mul == [[ctx.mul(a, b) for b in range(n)] for a in range(n)]
+    assert F.inv == [0] + [ctx.inv(a) for a in range(1, n)]
+    assert F.conj == [ctx.frobenius_q(a, 1) for a in range(n)]

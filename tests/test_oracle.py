@@ -126,6 +126,18 @@ def test_auto_strategy(n, q, strategy):
     assert (grp.strategy, grp.order) == (strategy, unitary_order(n, q))
 
 
+# the search walks each column's coefficients nonzero first, so the closure
+# adopts dense members, a few of which generate U(n, F_q)
+@pytest.mark.parametrize(
+    "n,q,most",
+    [(3, 3, 2), (3, 2, 2), (2, 4, 3), (2, 5, 4), (2, 7, 5), (4, 2, 4), (3, 4, 2)],
+)
+def test_dense_first_generator_counts(n, q, most):
+    grp = enumerate_group(n, q)
+    assert grp.order == unitary_order(n, q)
+    assert len(grp.generators) <= most
+
+
 @pytest.mark.parametrize("q", [3, 7], ids=["entrywise", "closure"])
 def test_wrong_order_formula_is_a_closure_error(q, monkeypatch):
     true_order = unitary_order(2, q)

@@ -4,6 +4,7 @@ scan it replaced, and the column-by-column search for the unitary members
 of a matrix space, against the reversing-space scan it replaced."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from strongreal.linalg import (
 from strongreal.oracle import (
     DEFAULT_BUDGETS,
     Budgets,
+    _entrywise_members,
     _first_nondegenerate,
     _invariant_hermitian_basis,
     _is_involution,
@@ -35,7 +37,9 @@ from strongreal.oracle import (
     realize_class,
     reconcile,
     reversing_space,
+    standard_forms,
     strong_reality_witnesses,
+    unitary_order,
 )
 from strongreal.upoly import monic_poly, u_irreducible_lookup
 
@@ -330,6 +334,28 @@ def test_column_search_matches_reference_scan(q, n):
         assert strong_reality_witnesses(g, form) == sorted(involutions)
         checked += 1
     assert checked and certified
+
+
+def reference_entrywise_members(F, n, gram):
+    """The unitary members of M_n in the search's counter order: every
+    column's free coefficients run through the field from 0 up."""
+    basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
+    return _unitary_members(F, basis, gram, math.inf)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9)] + [(q, 2) for q in (2, 3, 4, 5)] + [(2, 3)]
+)
+def test_dense_first_search_matches_counter_order(q, n):
+    # the shapes the group path drains (q^(2 n^2) <= 10^6; n = 1 up to q = 9), on every
+    # standard form: the nonzero-first walk yields each member exactly once,
+    # the same members as the counter-order reference
+    pp = prime_power(q)
+    F = table_for(pp)
+    for form in standard_forms(n, pp):
+        dense = list(_entrywise_members(F, n, form.gram))
+        assert len(dense) == len(set(dense)) == unitary_order(n, q)
+        assert set(dense) == set(reference_entrywise_members(F, n, form.gram))
 
 
 def test_rank_certificate_reads_the_column_span():
