@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classify as classify_mod
 from .classdata import (
     datum_from_json,
+    is_real,
     signed_partition,
     sp_datum_from_json,
     symplectic_datum,
@@ -148,7 +150,14 @@ def _cmd_count(args) -> int:
 
 def _cmd_list(args) -> int:
     q = prime_power(args.q)
-    for datum in iter_class_data(args.n, q, args.filter):
+    for datum in iter_class_data(args.n, q):
+        if args.filter == "real" and not is_real(datum):
+            continue
+        if (
+            args.filter == "strongly_real"
+            and classify_mod.strongly_real(datum).status != classify_mod.STRONGLY_REAL
+        ):
+            continue
         print(_dump(datum.to_json()))
     return 0
 
@@ -271,7 +280,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's flush at exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,6 @@ from .upoly import count_self_conjugate, enumerate_u_irreducibles
 ENUM_MAX_N = 8
 ENUM_MAX_Q = 5
 
-FILTERS = ("all", "real", "strongly_real")
-
 
 @dataclass(frozen=True)
 class Series:
@@ -45,11 +43,6 @@ class Series:
     def coefficient(self, n: int) -> int:
         return self.coeffs[n]
 
-    def __add__(self, other: "Series") -> "Series":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return Series(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "Series") -> "Series":
         if self.order != other.order:
             raise ValueError("order mismatch")
@@ -63,55 +56,31 @@ class Series:
                         out[i + j] += a * b
         return Series(n, tuple(out))
 
-    def to_json(self):
-        return {"order": self.order, "coeffs": list(self.coeffs)}
 
+def _product(order: int, factors) -> Series:
+    """Product over (k, coeffs) of sum_j coeffs[j] z^(kj), truncated at z^order.
 
-def series_one(order: int) -> Series:
-    return Series(order, (1,) + (0,) * order)
-
-
-def series_from(order: int, coeffs) -> Series:
-    coeffs = list(coeffs)[: order + 1]
-    coeffs += [0] * (order + 1 - len(coeffs))
-    return Series(order, tuple(coeffs))
-
-
-def geometric(order: int, c: int, k: int) -> Series:
-    """1 / (1 - c z^k) truncated: sum over j of c^j z^(kj)."""
-    out = [0] * (order + 1)
-    j = 0
-    while k * j <= order:
-        out[k * j] = c**j
-        j += 1
-    return Series(order, tuple(out))
-
-
-def binomial_factor(order: int, c: int, k: int) -> Series:
-    """1 + c z^k truncated."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    if k <= order:
-        out[k] = c
-    return Series(order, tuple(out))
-
-
-def series_K(q: PrimePower, order: int) -> Series:
-    """Total class count series: product over k of (1 + z^k)/(1 - q z^k)."""
-    out = series_one(order)
-    for k in range(1, order + 1):
-        out = out * binomial_factor(order, 1, k) * geometric(order, q.q, k)
+    Coefficients past z^order are ignored, missing ones are 0.
+    """
+    out = Series(order, (1,) + (0,) * order)
+    for k, coeffs in factors:
+        dense = [0] * (order + 1)
+        for i, c in zip(range(0, order + 1, k), coeffs):
+            dense[i] = c
+        out = out * Series(order, tuple(dense))
     return out
 
 
-def _factor_from_counts(q: PrimePower, order: int, k: int, constant_one: bool) -> Series:
-    """Sum over j of c_(j,q) z^(kj) with c from the self-conjugate counts."""
-    out = [0] * (order + 1)
-    j = 0
-    while k * j <= order:
-        out[k * j] = count_self_conjugate(j, q, constant_one)
-        j += 1
-    return Series(order, tuple(out))
+def series_K(q: PrimePower, order: int) -> Series:
+    """Total class count series: product over k of (1 + z^k)/(1 - q z^k).
+
+    The factor's coefficients of z^(kj) are 1, q + 1, q(q + 1), q^2(q + 1), ...
+    """
+    c = q.q
+    return _product(
+        order,
+        ((k, [1] + [c**j * (c + 1) for j in range(order // k)]) for k in range(1, order + 1)),
+    )
 
 
 def _require_odd(q: PrimePower):
@@ -122,10 +91,13 @@ def _require_odd(q: PrimePower):
 def series_R(q: PrimePower, order: int) -> Series:
     """Real class count series from the self-conjugate polynomial counts."""
     _require_odd(q)
-    out = series_one(order)
-    for k in range(1, order + 1):
-        out = out * _factor_from_counts(q, order, k, constant_one=False)
-    return out
+    return _product(
+        order,
+        (
+            (k, [count_self_conjugate(j, q) for j in range(order // k + 1)])
+            for k in range(1, order + 1)
+        ),
+    )
 
 
 def series_T(q: PrimePower, order: int) -> Series:
@@ -135,10 +107,21 @@ def series_T(q: PrimePower, order: int) -> Series:
     only polynomials of even degree with constant term 1.
     """
     _require_odd(q)
-    out = series_one(order)
-    for k in range(1, order + 1):
-        out = out * _factor_from_counts(q, order, k, constant_one=(k % 2 == 0))
-    return out
+    return _product(
+        order,
+        (
+            (k, [count_self_conjugate(j, q, k % 2 == 0) for j in range(order // k + 1)])
+            for k in range(1, order + 1)
+        ),
+    )
+
+
+def _displayed(q: PrimePower, order: int, squared) -> Series:
+    """Product of (1 + q z^m)^2 over m in squared and of 1/(1 - q z^(2k)) over k >= 1."""
+    _require_odd(q)
+    c = q.q
+    geometric = [(k, [c**j for j in range(order // k + 1)]) for k in range(2, order + 1, 2)]
+    return _product(order, [(m, [1, 2 * c, c * c]) for m in squared] + geometric)
 
 
 def displayed_series_T(q: PrimePower, order: int) -> Series:
@@ -147,16 +130,7 @@ def displayed_series_T(q: PrimePower, order: int) -> Series:
     Product over k >= 1 of (1 + q z^(2k-1))^2 / (1 - q z^(2k)).  Its z^1
     coefficient is 2q, while the coefficient definitions give 2.
     """
-    _require_odd(q)
-    out = series_one(order)
-    k = 1
-    while 2 * k - 1 <= order:
-        lin = binomial_factor(order, q.q, 2 * k - 1)
-        out = out * lin * lin
-        if 2 * k <= order:
-            out = out * geometric(order, q.q, 2 * k)
-        k += 1
-    return out
+    return _displayed(q, order, range(1, order + 1, 2))
 
 
 def displayed_series_R(q: PrimePower, order: int) -> Series:
@@ -164,14 +138,7 @@ def displayed_series_R(q: PrimePower, order: int) -> Series:
 
     Product over k >= 1 of (1 + q z^k)^2 / (1 - q z^(2k)).
     """
-    _require_odd(q)
-    out = series_one(order)
-    for k in range(1, order + 1):
-        lin = binomial_factor(order, q.q, k)
-        out = out * lin * lin
-        if 2 * k <= order:
-            out = out * geometric(order, q.q, 2 * k)
-    return out
+    return _displayed(q, order, range(1, order + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,44 +148,28 @@ def displayed_series_R(q: PrimePower, order: int) -> Series:
 def iter_class_data(
     n: int,
     q: PrimePower,
-    which: str = "all",
     max_n: int = ENUM_MAX_N,
     max_q: int = ENUM_MAX_Q,
 ):
-    """Yield class data of U(n, F_q) passing the filter, deterministic order.
+    """Yield every class datum of U(n, F_q), in a deterministic order.
 
     Data are assembled from U-irreducibles of degree <= n and partitions of
-    the available weight; the real and strongly_real filters apply the
-    corresponding predicates.
+    the available weight.
     """
-    if which not in FILTERS:
-        raise ValueError(f"filter must be one of {FILTERS}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > max_n or q.q > max_q:
         raise EnumerationBoundError(
             f"direct enumeration bounded to n <= {max_n}, q <= {max_q}"
         )
-
-    def keep(d):
-        if which == "real":
-            return is_real(d)
-        if which == "strongly_real":
-            return strongly_real(d).status == STRONGLY_REAL
-        return True
-
     if n == 0:
-        d = ClassDatum(q, ())
-        if keep(d):
-            yield d
+        yield ClassDatum(q, ())
         return
     uirrs = enumerate_u_irreducibles(q, n)  # sorted by (degree, coeffs)
 
     def rec(start: int, remaining: int, acc):
         if remaining == 0:
-            d = class_datum(q, list(acc))
-            if keep(d):
-                yield d
+            yield class_datum(q, list(acc))
             return
         for i in range(start, len(uirrs)):
             f = uirrs[i]
@@ -237,32 +188,30 @@ def iter_class_data(
 def enumerate_class_data(
     n: int,
     q: PrimePower,
-    which: str = "all",
     max_n: int = ENUM_MAX_N,
     max_q: int = ENUM_MAX_Q,
 ):
     """Materialized list form of iter_class_data."""
-    return list(iter_class_data(n, q, which, max_n, max_q))
+    return list(iter_class_data(n, q, max_n, max_q))
 
 
 @dataclass(frozen=True)
 class CountRow:
-    """Direct enumeration counts next to the series coefficients."""
+    """Class counts of U(n, F_q) by direct enumeration, each equal to its
+    series coefficient; R is checked against its series only for odd q."""
 
     n: int
     direct_all: int
     direct_real: int
     direct_strongly_real: int | None  # None when q is even (no counting formula)
-    series_all: int
-    series_real: int | None
-    series_strongly_real: int | None
 
     def to_json(self):
+        odd = self.direct_strongly_real is not None
         return {
             "n": self.n,
-            "K": self.series_all,
-            "R": self.series_real,
-            "T": self.series_strongly_real,
+            "K": self.direct_all,
+            "R": self.direct_real if odd else None,
+            "T": self.direct_strongly_real,
             "direct_K": self.direct_all,
             "direct_R": self.direct_real,
             "direct_T": self.direct_strongly_real,
@@ -292,49 +241,39 @@ class CountCrossCheck:
         return "\n".join(lines)
 
 
+def _check(name: str, n: int, direct: int, series: Series):
+    if direct != series.coefficient(n):
+        raise CountMismatchError(
+            f"{name} mismatch at n={n}: direct {direct} vs series {series.coefficient(n)}"
+        )
+
+
 def cross_check_counts(n_max: int, q: PrimePower) -> CountCrossCheck:
     """Assert direct enumeration counts equal the series coefficients.
 
-    Raises CountMismatchError at the first offending n; on success returns
-    the table plus a documentation note comparing the closed-form product's
-    z^1 coefficient with the coefficient-definition value.
+    Each n is enumerated once, and its data are counted as all, real and,
+    for odd q, strongly real classes.  Raises CountMismatchError at the
+    first offending n; on success returns the table plus a documentation
+    note comparing the closed-form product's z^1 coefficient with the
+    coefficient-definition value.
     """
+    odd = q.p != 2
     k_series = series_K(q, n_max)
-    r_series = series_R(q, n_max) if q.p != 2 else None
-    t_series = series_T(q, n_max) if q.p != 2 else None
+    if odd:
+        r_series, t_series = series_R(q, n_max), series_T(q, n_max)
     rows = []
     for n in range(0, n_max + 1):
-        direct_all = len(enumerate_class_data(n, q, "all"))
-        direct_real = len(enumerate_class_data(n, q, "real"))
-        if direct_all != k_series.coefficient(n):
-            raise CountMismatchError(
-                f"K mismatch at n={n}: direct {direct_all} vs series {k_series.coefficient(n)}"
-            )
-        if r_series is not None:
-            direct_sr = len(enumerate_class_data(n, q, "strongly_real"))
-            if direct_real != r_series.coefficient(n):
-                raise CountMismatchError(
-                    f"R mismatch at n={n}: direct {direct_real} vs series {r_series.coefficient(n)}"
-                )
-            if direct_sr != t_series.coefficient(n):
-                raise CountMismatchError(
-                    f"T mismatch at n={n}: direct {direct_sr} vs series {t_series.coefficient(n)}"
-                )
-        else:
-            direct_sr = None
-        rows.append(
-            CountRow(
-                n,
-                direct_all,
-                direct_real,
-                direct_sr,
-                k_series.coefficient(n),
-                r_series.coefficient(n) if r_series else None,
-                t_series.coefficient(n) if t_series else None,
-            )
-        )
+        data = enumerate_class_data(n, q)
+        direct_real = sum(1 for d in data if is_real(d))
+        _check("K", n, len(data), k_series)
+        direct_sr = None
+        if odd:
+            direct_sr = sum(1 for d in data if strongly_real(d).status == STRONGLY_REAL)
+            _check("R", n, direct_real, r_series)
+            _check("T", n, direct_sr, t_series)
+        rows.append(CountRow(n, len(data), direct_real, direct_sr))
     notes = []
-    if q.p != 2 and n_max >= 1:
+    if odd and n_max >= 1:
         shown = displayed_series_T(q, n_max).coefficient(1)
         used = t_series.coefficient(1)
         notes.append(

@@ -474,14 +474,23 @@ class GFTable:
         self.ctx = ctx
         self.size = ctx.size
         n = ctx.size
-        self.add = [[ctx.add(a, b) for b in range(n)] for a in range(n)]
         self.neg = [ctx.neg(a) for a in range(n)]
-        # mul, inv and conj (a -> a^q) from one pass over the powers of
-        # the generator: a b = exp[log a + log b], indices mod n - 1
+        # every table from one pass over the powers of the generator, with
+        # indices mod n - 1: a b = exp[log a + log b], and a + b =
+        # exp[log a + Z(log b - log a)] with the Zech logarithm
+        # Z(k) = log(1 + exp[k]), None where 1 + exp[k] = 0
         m = n - 1
         exp, log = ctx.exp_log(m)
         logs = [log[a] for a in range(1, n)]
         exp2 = exp + exp
+        zech = [log.get(ctx.add(1, e)) for e in exp]
+        self.add = [list(range(n))]
+        for a, la in zip(range(1, n), logs):
+            row = [a]
+            for lb in logs:
+                z = zech[(lb - la) % m]
+                row.append(0 if z is None else exp2[la + z])
+            self.add.append(row)
         self.mul = [[0] * n] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la % m] for la in logs]
         self.conj = [0] + [exp[la * ctx.pp.q % m] for la in logs]

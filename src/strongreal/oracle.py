@@ -1130,7 +1130,7 @@ def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
     """The data read off the conjugacy orbits must be pairwise distinct and
     be exactly the enumerated classes of U(n, F_q), and the orbit of each
     datum, of the given size, must have |U(n, F_q)| / |C(datum)| elements."""
-    expected = set(enumerate_class_data(n, pp, "all", max_n=n, max_q=pp.q))
+    expected = set(enumerate_class_data(n, pp, max_n=n, max_q=pp.q))
     if len(set(data)) != len(data) or set(data) != expected:
         raise CountMismatchError(
             f"{len(data)} conjugacy orbits give {len(set(data))} distinct data, "
@@ -1171,7 +1171,7 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order
     else:
-        data = enumerate_class_data(n, pp, "all", max_n=n, max_q=pp.q)
+        data = enumerate_class_data(n, pp, max_n=n, max_q=pp.q)
         found = _representative_records(data, form, budgets)
         strategy, group_order = "representatives", None
     records = sorted(

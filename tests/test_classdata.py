@@ -79,7 +79,7 @@ def test_class_equation(q, n_max):
     for n in range(1, n_max + 1):
         order = unitary_order(n, q)
         total = 0
-        for d in enumerate_class_data(n, pp, "all"):
+        for d in enumerate_class_data(n, pp):
             index, rest = divmod(order, centralizer_order(d))
             assert rest == 0
             total += index
@@ -157,7 +157,7 @@ def test_negate():
     assert nd == class_datum(
         PP3, {t_minus_one(PP3): partition([1]), t_plus_one(PP3): partition([2])}
     )
-    for datum in enumerate_class_data(3, PP3, "all"):
+    for datum in enumerate_class_data(3, PP3):
         assert negate(negate(datum)) == datum
     with pytest.raises(NegationUndefinedError):
         negate(unipotent_datum(PP2, [1]))
@@ -173,7 +173,7 @@ def test_u_sequence_examples():
 
 def test_u_sequence_roundtrip_exhaustive():
     for n in range(0, 5):
-        for d in enumerate_class_data(n, PP3, "all"):
+        for d in enumerate_class_data(n, PP3):
             assert from_u_sequence(PP3, u_sequence(d)) == d
 
 
@@ -187,7 +187,7 @@ def test_u_sequence_degree_identity():
 
 def test_datum_json_roundtrip():
     for n in range(1, 4):
-        for d in enumerate_class_data(n, PP3, "all"):
+        for d in enumerate_class_data(n, PP3):
             assert datum_from_json(d.to_json()) == d
 
 

@@ -119,7 +119,7 @@ def test_symplectic_embeddable_even_q():
 def test_oneway_guard_odd_q():
     # orthogonally embeddable implies strongly real, regression guard
     for n in range(1, 7):
-        for d in enumerate_class_data(n, PP3, "all"):
+        for d in enumerate_class_data(n, PP3):
             if orthogonal_embeddable(d):
                 assert strongly_real(d).status == STRONGLY_REAL
 
@@ -207,7 +207,7 @@ def test_even_q_rules_mutually_exclusive():
 
 def test_verdict_invariant_under_negation():
     for n in range(1, 6):
-        for d in enumerate_class_data(n, PP3, "all"):
+        for d in enumerate_class_data(n, PP3):
             assert strongly_real(d).status == strongly_real(negate(d)).status
 
 
@@ -215,7 +215,7 @@ def test_u_sequence_rephrasing_agrees():
     # strongly real iff every u_i is self-conjugate over GF(q) and the even-
     # indexed ones have even degree and constant term 1 (odd q)
     for n in range(1, 6):
-        for d in enumerate_class_data(n, PP3, "all"):
+        for d in enumerate_class_data(n, PP3):
             seq = u_sequence(d)
             ok = True
             for i, u in enumerate(seq, start=1):

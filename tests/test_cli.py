@@ -1,5 +1,6 @@
 """Command line interface: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 import strongreal
 from strongreal.cli import main
+from strongreal.counting import series_R, series_T
+from strongreal.fields import prime_power
 
 
 def run(capsys, *argv):
@@ -170,6 +173,58 @@ def test_list_stream(capsys):
     for line in lines:
         datum = json.loads(line)
         assert datum["n"] == 1
+
+
+# SHA-256 of the stdout of `list --q Q --n N --filter F` for N = 0, 1, 2, 3
+# in turn, from the enumeration that filtered inside iter_class_data
+LIST_SHA256 = {
+    ("all", 2): "39a3978f661c2b084a4257e48424b03546b5f496b43d64fec0ace0c14c2a6b26",
+    ("all", 3): "d9e9967c06a4c3fff6bb42bfeeb9ec0523ed82c46cf7dbacea891e7631860165",
+    ("all", 4): "e738434ca58ba980867b38ab22dd70149857b24e968a169779a80851966d696e",
+    ("all", 5): "e07fb9f36a1275466427d8f05c680f338259671521fca137cfbbfac4544964fd",
+    ("real", 2): "2c7a7b3cd14eea162aa1815c71de944c18c9987af51f572a3a55821bd7fdcedf",
+    ("real", 3): "318761acfaf96895723f49c71c5a22b1a0adfd78e1352174f18911a9d968b727",
+    ("real", 4): "9512692526dce8208053755cfea1b759087d93e525336fe7e462390538bb8a6d",
+    ("real", 5): "a2143f844324c563645eea65f0d5415e893236f109d2120401e9915c1aa96cf5",
+    ("strongly_real", 2): "6589a24321178ea1e41f4f780c9634274f3f984d185043ce7fa44126f74aa465",
+    ("strongly_real", 3): "6da5c0340954ec72b138402f73e13a000a5ce1d3efc7297611555930b0dd9041",
+    ("strongly_real", 4): "191b0c4a9f53c607e35d6845953903575b57e69097471f3dc6a804ab33cadff3",
+    ("strongly_real", 5): "8309d9d9e19120c57710421e2f2cf260d94629059e20dfd51fea87b3f8daf686",
+}
+
+
+@pytest.mark.parametrize("which,q", sorted(LIST_SHA256))
+def test_list_filter_output_is_pinned(capsys, which, q):
+    outs = []
+    for n in range(4):
+        code, out, _ = run(capsys, "list", "--q", str(q), "--n", str(n), "--filter", which)
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == LIST_SHA256[which, q]
+    if q % 2 and which != "all":
+        series = (series_R if which == "real" else series_T)(prime_power(q), 3)
+        assert [len(out.splitlines()) for out in outs] == list(series.coeffs)
+
+
+def test_list_unknown_filter_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "list", "--q", "3", "--n", "2", "--filter", "bogus")
+    assert code == 1 and out == ""
+    assert "usage error" in err and "bogus" in err
+
+
+def test_list_into_a_closed_pipe_exits_one_without_traceback():
+    # list --q 3 --n 5 prints ~85 kB, more than a pipe holds, so the
+    # writes after the reader closes its end fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "strongreal", "list", "--q", "3", "--n", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=src_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert json.loads(first)["n"] == 5
+    assert b"Traceback" not in err, err.decode()
 
 
 def test_list_runs_without_numpy():

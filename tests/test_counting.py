@@ -2,6 +2,9 @@
 
 import pytest
 
+from strongreal import counting
+from strongreal.classdata import is_real
+from strongreal.classify import STRONGLY_REAL, strongly_real
 from strongreal.counting import (
     CountRow,
     Series,
@@ -9,15 +12,13 @@ from strongreal.counting import (
     displayed_series_R,
     displayed_series_T,
     enumerate_class_data,
-    geometric,
-    series_from,
     series_K,
-    series_one,
     series_R,
     series_T,
 )
 from strongreal.errors import EnumerationBoundError
-from strongreal.fields import PrimePower
+from strongreal.fields import PrimePower, prime_power
+from strongreal.upoly import count_self_conjugate
 
 PP2 = PrimePower(2)
 PP3 = PrimePower(3)
@@ -25,22 +26,107 @@ PP5 = PrimePower(5)
 
 
 def test_series_arithmetic():
-    a = series_from(4, [1, 2, 3])
-    b = series_from(4, [0, 1])
+    a = Series(4, (1, 2, 3, 0, 0))
+    b = Series(4, (0, 1, 0, 0, 0))
     assert (a * b).coeffs == (0, 1, 2, 3, 0)
-    assert (a + b).coeffs == (1, 3, 3, 0, 0)
-    c = series_from(4, [2, 0, 5])
+    c = Series(4, (2, 0, 5, 0, 0))
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     with pytest.raises(ValueError):
         Series(3, (1, 2))
 
 
-def test_geometric_inverse_property():
-    # (1 - c z^k) * sum c^j z^(kj) = 1 up to truncation
-    for c, k in ((3, 1), (5, 2), (2, 3)):
-        lhs = series_from(9, [1] + [0] * (k - 1) + [-c])
-        assert (lhs * geometric(9, c, k)).coeffs == series_one(9).coeffs
+# The constructors the five series were built from before they became one
+# product over k: the named reference of test_series_match_reference.
+
+
+def reference_one(order):
+    return Series(order, (1,) + (0,) * order)
+
+
+def reference_geometric(order, c, k):
+    """1 / (1 - c z^k) truncated: sum over j of c^j z^(kj)."""
+    out = [0] * (order + 1)
+    j = 0
+    while k * j <= order:
+        out[k * j] = c**j
+        j += 1
+    return Series(order, tuple(out))
+
+
+def reference_binomial(order, c, k):
+    """1 + c z^k truncated."""
+    out = [0] * (order + 1)
+    out[0] = 1
+    if k <= order:
+        out[k] = c
+    return Series(order, tuple(out))
+
+
+def reference_from_counts(q, order, k, constant_one):
+    out = [0] * (order + 1)
+    j = 0
+    while k * j <= order:
+        out[k * j] = count_self_conjugate(j, q, constant_one)
+        j += 1
+    return Series(order, tuple(out))
+
+
+def reference_K(q, order):
+    out = reference_one(order)
+    for k in range(1, order + 1):
+        out = out * reference_binomial(order, 1, k) * reference_geometric(order, q.q, k)
+    return out
+
+
+def reference_R(q, order):
+    out = reference_one(order)
+    for k in range(1, order + 1):
+        out = out * reference_from_counts(q, order, k, constant_one=False)
+    return out
+
+
+def reference_T(q, order):
+    out = reference_one(order)
+    for k in range(1, order + 1):
+        out = out * reference_from_counts(q, order, k, constant_one=(k % 2 == 0))
+    return out
+
+
+def reference_displayed_T(q, order):
+    out = reference_one(order)
+    k = 1
+    while 2 * k - 1 <= order:
+        lin = reference_binomial(order, q.q, 2 * k - 1)
+        out = out * lin * lin
+        if 2 * k <= order:
+            out = out * reference_geometric(order, q.q, 2 * k)
+        k += 1
+    return out
+
+
+def reference_displayed_R(q, order):
+    out = reference_one(order)
+    for k in range(1, order + 1):
+        lin = reference_binomial(order, q.q, k)
+        out = out * lin * lin
+        if 2 * k <= order:
+            out = out * reference_geometric(order, q.q, 2 * k)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 11, 60])
+def test_series_match_reference(q, order):
+    pp = prime_power(q)
+    for series, reference in (
+        (series_K, reference_K),
+        (series_R, reference_R),
+        (series_T, reference_T),
+        (displayed_series_T, reference_displayed_T),
+        (displayed_series_R, reference_displayed_R),
+    ):
+        assert series(pp, order) == reference(pp, order), series.__name__
 
 
 def test_series_K_small_values():
@@ -87,11 +173,14 @@ def test_displayed_closed_forms_differ_at_z1():
 
 
 def test_enumerate_class_data_counts():
+    def strong(d):
+        return strongly_real(d).status == STRONGLY_REAL
+
     assert len(enumerate_class_data(0, PP3)) == 1
     assert len(enumerate_class_data(1, PP3)) == 4
-    assert len(enumerate_class_data(1, PP3, "strongly_real")) == 2
-    assert len(enumerate_class_data(1, PP3, "real")) == 2
-    assert len(enumerate_class_data(2, PP3, "strongly_real")) == 4
+    assert sum(map(strong, enumerate_class_data(1, PP3))) == 2
+    assert sum(map(is_real, enumerate_class_data(1, PP3))) == 2
+    assert sum(map(strong, enumerate_class_data(2, PP3))) == 4
     assert len(enumerate_class_data(2, PP2)) == 9
 
 
@@ -108,8 +197,6 @@ def test_enumerate_class_data_bounds():
         enumerate_class_data(9, PP3)
     with pytest.raises(EnumerationBoundError):
         enumerate_class_data(2, PrimePower(7))
-    with pytest.raises(ValueError):
-        enumerate_class_data(2, PP3, "bogus")
 
 
 def test_enumeration_guard_holds_at_q5_n5():
@@ -138,6 +225,20 @@ def test_cross_check_small():
     assert text.splitlines()[2] == "1,4,2,2"
 
 
+@pytest.mark.parametrize("pp", [PP3, PP2])
+def test_cross_check_enumerates_each_n_once(pp, monkeypatch):
+    seen = []
+    iterate = counting.iter_class_data
+
+    def counted(n, *args, **kwargs):
+        seen.append(n)
+        return iterate(n, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "iter_class_data", counted)
+    cross_check_counts(4, pp)
+    assert seen == [0, 1, 2, 3, 4]
+
+
 def test_cross_check_even_q_k_only():
     table = cross_check_counts(3, PP2)
     assert [r.direct_all for r in table.rows] == [1, 3, 9, 24]
@@ -145,7 +246,7 @@ def test_cross_check_even_q_k_only():
 
 
 def test_count_row_json_carries_both_sides():
-    row = CountRow(1, 4, 2, 2, 4, 2, 2)
+    row = CountRow(1, 4, 2, 2)
     assert row.to_json() == {
         "n": 1,
         "K": 4,
@@ -156,6 +257,16 @@ def test_count_row_json_carries_both_sides():
         "direct_T": 2,
     }
     assert (row.direct_all, row.direct_real, row.direct_strongly_real) == (4, 2, 2)
+    # for even q only K is checked against a series
+    assert CountRow(1, 3, 3, None).to_json() == {
+        "n": 1,
+        "K": 3,
+        "R": None,
+        "T": None,
+        "direct_K": 3,
+        "direct_R": 3,
+        "direct_T": None,
+    }
 
 
 def test_iter_class_data_streams_lazily():

@@ -236,3 +236,13 @@ def test_tables_match_schoolbook_arithmetic(q, k):
     assert F.mul == [[ctx.mul(a, b) for b in range(n)] for a in range(n)]
     assert F.inv == [0] + [ctx.inv(a) for a in range(1, n)]
     assert F.conj == [ctx.frobenius_q(a, 1) for a in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("k", [1, 2])
+def test_add_table_matches_schoolbook_addition(q, k):
+    # the add table comes from Zech logarithms of the same generator
+    ctx = make_context(prime_power(q), k)
+    F = table_for(prime_power(q), k)
+    n = ctx.size
+    assert F.add == [[ctx.add(a, b) for b in range(n)] for a in range(n)]

@@ -240,7 +240,7 @@ def test_realize_roundtrip(pp):
     # every datum through n = 4 realizes and extracts back to itself
     for n in range(1, 5):
         F = table_for(pp)
-        for d in enumerate_class_data(n, pp, "all"):
+        for d in enumerate_class_data(n, pp):
             g = realize_class(d)
             assert is_unitary(F, g, identity(n))
             assert extract_class_datum(g, pp) == d
@@ -343,7 +343,7 @@ def test_group_and_scan_searches_agree_u23():
     # the reversing space must give the same verdicts and the same witnesses
     grp = enumerate_group(2, PP3)
     form = identity_form(2, PP3)
-    data = enumerate_class_data(2, PP3, "all")
+    data = enumerate_class_data(2, PP3)
     assert len(data) == 16
     for d in data:
         g = realize_class(d, form)
@@ -521,7 +521,7 @@ def test_shared_records_match_reference(q, n, budgets):
     # undecided ones included, exactly as walking each class on its own
     pp = prime_power(q)
     form = identity_form(n, pp)
-    data = enumerate_class_data(n, pp, "all", max_n=n, max_q=q)
+    data = enumerate_class_data(n, pp, max_n=n, max_q=q)
     assert _representative_records(data, form, budgets) == reference_representative_records(
         data, form, budgets
     )
@@ -532,7 +532,7 @@ def test_images_have_the_same_reversing_space(q, n):
     # the walk on an image would be the walk on g: the same basis, in order
     pp = prime_power(q)
     F = table_for(pp)
-    for datum in enumerate_class_data(n, pp, "all", max_n=n, max_q=q):
+    for datum in enumerate_class_data(n, pp, max_n=n, max_q=q):
         g = realize_class(datum)
         images = _sign_inverse_images(F, g)
         assert len(images) == (1 if pp.p == 2 else 3)
@@ -565,9 +565,7 @@ def test_image_outside_the_enumeration_raises(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "enumerate_class_data",
-        lambda n, pp, which, **kw: [
-            d for d in enumerated(n, pp, which, **kw) if d != minus_one
-        ],
+        lambda n, pp, **kw: [d for d in enumerated(n, pp, **kw) if d != minus_one],
     )
     with pytest.raises(CountMismatchError, match="not among the class data"):
         reconcile(2, 3, NO_GROUP)

@@ -124,7 +124,7 @@ def test_invariant_basis_matches_reference(q, n_max):
     pp = prime_power(q)
     F = table_for(pp)
     for n in range(1, n_max + 1):
-        for d in enumerate_class_data(n, pp, "all", max_n=n, max_q=q):
+        for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
             g0 = _jordan_style_matrix(F, d)
             assert _invariant_hermitian_basis(pp, g0) == reference_invariant_hermitian_basis(pp, g0)
 
@@ -190,7 +190,7 @@ def test_block_walk_matches_reference_scan(q, n):
     # the same form, or the same error text, on every class datum
     pp = prime_power(q)
     F = table_for(pp)
-    for d in enumerate_class_data(n, pp, "all"):
+    for d in enumerate_class_data(n, pp):
         basis = _invariant_hermitian_basis(pp, _jordan_style_matrix(F, d))
         for budget in (DEFAULT_BUDGETS.realize_scan, 20000):
             assert form_or_error(_first_nondegenerate, F, basis, pp.p, budget) == form_or_error(
@@ -226,7 +226,7 @@ def test_block_walk_reaches_det_only_for_live_candidates(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "mat_det", lambda F, X: calls.append(X) or mat_det(F, X))
     one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (2,)))  # t - 1
-    data = [(d, DEFAULT_BUDGETS.realize_scan) for d in enumerate_class_data(3, pp, "all")]
+    data = [(d, DEFAULT_BUDGETS.realize_scan) for d in enumerate_class_data(3, pp)]
     data.append((class_datum(pp, {one: partition([1, 1, 1, 1])}), 20412))
     for d, budget in data:
         basis = _invariant_hermitian_basis(pp, _jordan_style_matrix(F, d))
@@ -320,7 +320,7 @@ def test_column_search_matches_reference_scan(q, n):
     F = table_for(pp)
     form = identity_form(n, pp)
     checked = certified = 0
-    for d in enumerate_class_data(n, pp, "all"):
+    for d in enumerate_class_data(n, pp):
         g = realize_class(d, form)
         basis = reversing_space(F, g)
         if F.size ** len(basis) > 10**5:
