@@ -814,11 +814,16 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
     in columns <= j, each with h's entry at its pivot as coefficient.
     Columns are chosen left to right.  The pairings u_i* J x = J[i][j] with
     the chosen columns u_i are linear in column x, so one elimination gives
-    the affine set of candidates, which _span walks; each is tested against
-    x* J x = J[j][j].  The free coefficients of a column run through
-    coeffs, counter order over every field element (0 first) unless given.
-    A search node is one candidate tested; past budget nodes the search
-    raises BudgetExceededError.
+    the affine set of candidates.  The free coefficients of a column run
+    through coeffs, counter order over every field element (0 first)
+    unless given.  The last norm condition x* J x = J[j][j] is solved for
+    the fastest-changing coefficient c: with x = r + c v, where _span
+    walks r over the other directions, it reads
+    Tr(c r* J v) + N(c) v* J v = J[j][j] - r* J r, so each r costs two
+    pairings and only the solving c build a column.  A search node is one
+    candidate, solving or not, in the order of the walk; past budget nodes
+    the search raises BudgetExceededError at the same candidate as a test
+    of every candidate would.
 
     Every member's columns lie in the span of the columns of the basis
     matrices.  When that span is smaller than F^n no member is invertible,
@@ -829,11 +834,28 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
         return
     if coeffs is None:
         coeffs = range(F.size)
-    add, mul = F.add, F.mul
+    add, mul, conj = F.add, F.mul, F.conj
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
     nodes = 0
     dot = _hermitian_dot(F, J)
+    solved = {}
+
+    def solutions(w, b):
+        """(index, c) in coeffs order, by the value of Tr(c b) + N(c) w."""
+        if (w, b) not in solved:
+            by_value = solved[w, b] = {}
+            for i, c in enumerate(coeffs):
+                cb = mul[c][b]
+                value = add[add[cb][conj[cb]]][mul[mul[c][conj[c]]][w]]
+                by_value.setdefault(value, []).append((i, c))
+        return solved[w, b]
+
+    def count(k):
+        nonlocal nodes
+        nodes += k
+        if nodes > budget:
+            raise BudgetExceededError(f"unitary search passed {budget} nodes")
 
     def combine(c, vectors, base):
         for ck, v in zip(c, vectors):
@@ -842,7 +864,6 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
         return base
 
     def walk(cols):
-        nonlocal nodes
         j = len(cols)
         if j == n:
             yield tuple(zip(*cols))
@@ -860,13 +881,23 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
         start = next((v for v in kernel if v[-1]), None)
         if start is None:
             return
-        directions = [(combine(v, heads, [0] * n),) for v in kernel if not v[-1]]
-        for x in _span(F, directions, coeffs, combine(start, heads, a)):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"unitary search passed {budget} nodes")
+        x = combine(start, heads, a)
+        directions = [combine(v, heads, [0] * n) for v in kernel if not v[-1]]
+        if not directions:
+            count(1)
             if dot(x, x) == J[j][j]:
                 yield from walk(cols + [x])
+            return
+        v = directions[0]
+        w = dot(v, v)
+        for r in _span(F, [(d,) for d in directions[1:]], coeffs, x):
+            done = 0
+            for i, c in solutions(w, dot(r, v)).get(F.sub(J[j][j], dot(r, r)), ()):
+                # the candidates done .. i - 1 of this block fail the norm
+                count(i + 1 - done)
+                done = i + 1
+                yield from walk(cols + [[add[ri][mul[c][vi]] for ri, vi in zip(r, v)]])
+            count(len(coeffs) - done)
 
     yield from walk([])
 

@@ -1,7 +1,8 @@
 """The oracle's span enumerator and the two searches that walk it: the
 invariant-form search of realize_class, against the candidate-by-candidate
 scan it replaced, and the column-by-column search for the unitary members
-of a matrix space, against the reversing-space scan it replaced."""
+of a matrix space, against the reversing-space scan it replaced and against
+its own form before the norm solve."""
 
 import itertools
 import math
@@ -19,13 +20,16 @@ from strongreal.linalg import (
     is_unitary,
     mat_det,
     mat_mul,
+    mat_rank,
     nullspace,
 )
 from strongreal.oracle import (
     DEFAULT_BUDGETS,
     Budgets,
+    _eliminate,
     _entrywise_members,
     _first_nondegenerate,
+    _hermitian_dot,
     _invariant_hermitian_basis,
     _is_involution,
     _jordan_style_matrix,
@@ -366,6 +370,161 @@ def test_rank_certificate_reads_the_column_span():
     assert ends_before_first_node(F, [e11, e12], identity(2))
     assert not ends_before_first_node(F, [e11, e21], identity(2))
     assert list(_unitary_members(F, [e11, e21], identity(2), 10**4)) == []
+
+
+def reference_unitary_members(F, basis, J, budget, coeffs=None):
+    """The unitary-member search before the norm solve: every candidate of
+    a column's affine set is built by _span and tested against
+    x* J x = J[j][j], one node each."""
+    n = len(J)
+    if mat_rank(F, [col for B in basis for col in zip(*B)]) < n:
+        return
+    if coeffs is None:
+        coeffs = range(F.size)
+    add, mul = F.add, F.mul
+    vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
+    pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
+    nodes = 0
+    dot = _hermitian_dot(F, J)
+
+    def combine(c, vectors, base):
+        for ck, v in zip(c, vectors):
+            if ck:
+                base = [add[a][mul[ck][b]] for a, b in zip(base, v)]
+        return base
+
+    def walk(cols):
+        nonlocal nodes
+        j = len(cols)
+        if j == n:
+            yield tuple(zip(*cols))
+            return
+        part = [v[j * n : j * n + n] for v in vecs]
+        # the vectors pivoting before column j come first in part
+        a = combine([cols[c][r] for c, r in pivots if c < j], part, [0] * n)
+        heads = [h for h, (c, _) in zip(part, pivots) if c == j]
+        # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
+        system = [
+            [dot(u, h) for h in heads] + [F.sub(dot(u, a), J[i][j])]
+            for i, u in enumerate(cols)
+        ]
+        kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
+        start = next((v for v in kernel if v[-1]), None)
+        if start is None:
+            return
+        directions = [(combine(v, heads, [0] * n),) for v in kernel if not v[-1]]
+        for x in _span(F, directions, coeffs, combine(start, heads, a)):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"unitary search passed {budget} nodes")
+            if dot(x, x) == J[j][j]:
+                yield from walk(cols + [x])
+
+    yield from walk([])
+
+
+def until_budget(search, *args):
+    """The members a search yields, in order, and whether it then raised
+    BudgetExceededError."""
+    members = []
+    try:
+        for h in search(*args):
+            members.append(h)
+    except BudgetExceededError:
+        return members, True
+    return members, False
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in (2, 3, 4, 5, 7) for n in (1, 2)]
+    + [(2, 3), (3, 3)]
+    + [pytest.param(q, 3, marks=pytest.mark.stretch) for q in (4, 5, 7)],
+)
+def test_norm_solve_matches_reference_search(q, n):
+    # every realized class on every standard form, from a budget of one
+    # node up: the same members in the same order, and the same raise
+    pp = prime_power(q)
+    F = table_for(pp)
+    for form in standard_forms(n, pp):
+        for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
+            basis = reversing_space(F, realize_class(d, form))
+            for budget in (1, 50, 777, 20000):
+                assert until_budget(_unitary_members, F, basis, form.gram, budget) == until_budget(
+                    reference_unitary_members, F, basis, form.gram, budget
+                )
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7) for n in (1, 2)] + [(2, 3)])
+def test_entrywise_members_match_reference_search(q, n):
+    # the group path's dense-first walk over M_n, member by member
+    pp = prime_power(q)
+    F = table_for(pp)
+    basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
+    for form in standard_forms(n, pp):
+        assert list(_entrywise_members(F, n, form.gram)) == list(
+            reference_unitary_members(F, basis, form.gram, math.inf, [*range(1, F.size), 0])
+        )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_budget_boundary_inside_one_block(q):
+    # U(1, F_q) as the unitary members of M_1: one block of q^2 candidates
+    # and q + 1 members; at every budget, in either coefficient order, the
+    # same members come before the same raise
+    F = table_for(prime_power(q))
+    basis, J = [((1,),)], identity(1)
+    for coeffs in (range(F.size), [*range(1, F.size), 0]):
+        for budget in range(F.size + 1):
+            outcome = until_budget(_unitary_members, F, basis, J, budget, coeffs)
+            assert outcome == until_budget(reference_unitary_members, F, basis, J, budget, coeffs)
+            assert outcome[1] == (budget < F.size)
+        assert len(outcome[0]) == q + 1
+
+
+class NodeClock:
+    """A budget that never runs out.  Python evaluates a search's check
+    `nodes > budget` as `budget < nodes`, which keeps the node count and
+    answers False."""
+
+    nodes = 0
+
+    def __lt__(self, nodes):
+        self.nodes = nodes
+        return False
+
+
+def node_trace(search, F, basis, J):
+    """Each member with the node count at which it is yielded, and the
+    total node count of the search."""
+    clock = NodeClock()
+    return [(clock.nodes, h) for h in search(F, basis, J, clock)], clock.nodes
+
+
+def test_budget_boundary_u35_unipotent_21():
+    # (2,1) at t - 1 in U(3, F_5) on the identity form: 4,500 members over
+    # 35,125 nodes in blocks of 25, with members at nodes 29, 32, 33 and 34
+    # of one block.  Node counts only grow, so at budget B a search yields
+    # the members found at nodes <= B and raises iff its total exceeds B:
+    # equal traces mean equal outcomes at every budget.  Real runs check
+    # that reading over the first blocks, at the ends of sampled members
+    # and at the end of the walk.
+    pp = prime_power(5)
+    F = table_for(pp)
+    one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (4,)))  # t - 1
+    form = identity_form(3, pp)
+    basis = reversing_space(F, realize_class(class_datum(pp, {one: partition([2, 1])}), form))
+    trace = node_trace(_unitary_members, F, basis, form.gram)
+    assert trace == node_trace(reference_unitary_members, F, basis, form.gram)
+    found, total = trace
+    at = [t for t, _ in found]
+    assert (len(at), total, at[:4]) == (4500, 35125, [29, 32, 33, 34])
+    budgets = {*range(101), total - 1, total}
+    budgets |= {b for t in at[::450] for b in (t - 1, t)}
+    for budget in sorted(budgets):
+        outcome = until_budget(_unitary_members, F, basis, form.gram, budget)
+        assert outcome == until_budget(reference_unitary_members, F, basis, form.gram, budget)
+        assert outcome == ([h for t, h in found if t <= budget], total > budget)
 
 
 @pytest.mark.parametrize("q,n,entries", [(2, 2, None), (3, 2, None), (2, 3, (0, 1)), (3, 3, (0, 1, 2))])
