@@ -94,8 +94,6 @@ def _trim(f):
 
 
 def _pmul(p, a, b):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -105,28 +103,23 @@ def _pmul(p, a, b):
 
 
 def _pmod(p, a, m):
-    a = list(a)
+    """a mod m in one top-down pass: each step clears the current top digit."""
     dm = len(m) - 1
+    a = list(a)
     inv_lead = pow(m[-1], p - 2, p) if m[-1] != 1 else 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _trim(a)
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] * inv_lead % p
+        if c:
+            shift = top - dm
+            for i in range(dm):
+                a[shift + i] = (a[shift + i] - c * m[i]) % p
+    return _trim(a[:dm])
 
 
 def _pgcd(p, a, b):
     a, b = _trim(a), _trim(b)
     while b:
         a, b = b, _pmod(p, a, b)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
     return a
 
 
@@ -141,23 +134,17 @@ def _ppowmod(p, base, exp, m):
     return result
 
 
-def _minus_x(p, g):
-    """g(x) - x as a trimmed tuple."""
-    out = list(g) + [0] * max(0, 2 - len(g))
-    out[1] = (out[1] - 1) % p
-    return _trim(out)
-
-
 def _is_irreducible(p, f) -> bool:
     """Rabin test: x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1."""
     d = len(f) - 1
     if d == 1:
         return True
     x = (0, 1)
-    if _minus_x(p, _ppowmod(p, x, p**d, f)):
+    if _ppowmod(p, x, p**d, f) != x:
         return False
     for ell in _prime_factors(d):
-        g = _minus_x(p, _ppowmod(p, x, p ** (d // ell), f))
+        g = [*_ppowmod(p, x, p ** (d // ell), f), 0, 0]
+        g[1] = (g[1] - 1) % p
         if len(_pgcd(p, g, f)) > 1:
             return False
     return True
@@ -178,25 +165,23 @@ def _prime_factors(n: int):
 
 
 def _lex_smallest_irreducible(p: int, deg: int):
-    """Scan monic degree-deg polynomials in low-degree-first lex order."""
+    """Scan monic degree-deg polynomials in low-degree-first lex order, past
+    the ones divisible by t (constant term 0), which all come first."""
     if deg == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=deg):
-        if tail[0] == 0:
-            continue  # divisible by t
-        f = tuple(tail) + (1,)
-        if any(_eval_mod_p(p, f, a) == 0 for a in range(p)):
-            continue  # has a root in GF(p)
+    for tail in itertools.product(range(1, p), *[range(p)] * (deg - 1)):
+        f = tail + (1,)
         if _is_irreducible(p, f):
             return f
     raise AssertionError("no irreducible found; unreachable for deg >= 1")
 
 
-def _eval_mod_p(p, f, a):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % p
-    return acc
+def _pack(p, coords) -> int:
+    """Base-p packing of a GF(p) coefficient sequence, low digit first."""
+    out = 0
+    for c in reversed(coords):
+        out = out * p + c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +208,7 @@ class FieldCtx:
         self.p = pp.p
         self.size = pp.p**deg
         self.modulus = _lex_smallest_irreducible(pp.p, deg)
-        # t^(deg+i) mod modulus, used for schoolbook reduction
-        red = []
-        cur = tuple(((-c) % self.p) for c in self.modulus[:-1])
-        for _ in range(deg - 1):
-            red.append(cur + (0,) * (deg - len(cur)))
-            cur = self._times_t(cur)
-        self._red = red
-        self._powers = tuple(self.p**i for i in range(deg + 1))
+        self._powers = tuple(self.p**i for i in range(deg))
         self._gen = None
         self._sub_maps = {}
 
@@ -238,30 +216,13 @@ class FieldCtx:
 
     def to_coords(self, a: int):
         p = self.p
-        return tuple((a // self._powers[i]) % p for i in range(self.deg))
+        return tuple([a // w % p for w in self._powers])
 
     def from_coords(self, coords) -> int:
         if len(coords) != self.deg:
             raise ValueError(f"expected {self.deg} coordinates")
         p = self.p
-        out = 0
-        for i, c in enumerate(coords):
-            out += (c % p) * self._powers[i]
-        return out
-
-    def _times_t(self, coords):
-        """Multiply a full-length coord vector by t, reduced mod modulus."""
-        p = self.p
-        deg = self.deg
-        coords = (0,) + tuple(coords)
-        if len(coords) <= deg:
-            return _trim(coords)
-        top = coords[deg]
-        out = [coords[i] for i in range(deg)]
-        if top:
-            for i in range(deg):
-                out[i] = (out[i] - top * self.modulus[i]) % p
-        return _trim(out)
+        return _pack(p, [c % p for c in coords])
 
     # -- ring operations on packed ints -------------------------------------
 
@@ -291,23 +252,9 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        ca = self.to_coords(a)
-        cb = self.to_coords(b)
         p = self.p
-        deg = self.deg
-        buf = [0] * (2 * deg - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    buf[i + j] = (buf[i + j] + x * y) % p
-        out = buf[:deg]
-        for i in range(deg, 2 * deg - 1):
-            c = buf[i]
-            if c:
-                red = self._red[i - deg]
-                for j in range(deg):
-                    out[j] = (out[j] + c * red[j]) % p
-        return self.from_coords(out)
+        prod = _pmul(p, self.to_coords(a), self.to_coords(b))
+        return _pack(p, _pmod(p, prod, self.modulus))
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -316,15 +263,9 @@ class FieldCtx:
             if n < 0:
                 raise ZeroInputError("0 has no negative powers")
             return 0
+        p = self.p
         n %= self.size - 1
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return _pack(p, _ppowmod(p, self.to_coords(a), n, self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -202,7 +202,8 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
     order = q**d - (-1) ** d
     exp, _ = host.exp_log(order)
     step = (-q) % order
-    down = host.subfield_map(ctx2)
+    # at d = 1 the host is GF(q^2) itself; skip its q^2-entry identity map
+    down = host.subfield_map(ctx2) if d > 1 else None
     visited = bytearray(order)
     polys = []
     covered = 0
@@ -231,7 +232,7 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
                     nxt[deg_i] = host.add(nxt[deg_i], host.mul(c, nroot))
             coeffs = nxt
         assert coeffs[-1] == 1
-        small = tuple(down[c] for c in coeffs[:-1])
+        small = tuple(coeffs[:-1] if down is None else (down[c] for c in coeffs[:-1]))
         rep = min(exp[idx] for idx in orbit)
         polys.append(UIrreducible(MonicPoly(ctx2, small), d, rep))
     assert covered == order, "orbit scan must partition the subgroup"

@@ -246,3 +246,117 @@ def test_add_table_matches_schoolbook_addition(q, k):
     F = table_for(prime_power(q), k)
     n = ctx.size
     assert F.add == [[ctx.add(a, b) for b in range(n)] for a in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# differential tests: FieldCtx against the schoolbook arithmetic and the full
+# modulus scan it replaced
+
+
+def reference_red(ctx):
+    """t^(deg+i) mod the modulus for i < deg - 1, as full coordinate lists."""
+    p, deg, m = ctx.p, ctx.deg, ctx.modulus
+    cur = [(-c) % p for c in m[:-1]]
+    red = []
+    for _ in range(deg - 1):
+        red.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        cur = [(c - top * mi) % p for c, mi in zip(cur, m)]
+    return red
+
+
+def reference_field_mul(ctx, red, a, b):
+    """Schoolbook product of coordinate vectors, reduced with the t^i table."""
+    p, deg = ctx.p, ctx.deg
+    ca, cb = ctx.to_coords(a), ctx.to_coords(b)
+    buf = [0] * (2 * deg - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb):
+                buf[i + j] = (buf[i + j] + x * y) % p
+    out = buf[:deg]
+    for i in range(deg, 2 * deg - 1):
+        c = buf[i]
+        if c:
+            for j in range(deg):
+                out[j] = (out[j] + c * red[i - deg][j]) % p
+    return ctx.from_coords(out)
+
+
+def reference_field_pow(ctx, red, a, n):
+    """Square-and-multiply on packed elements through reference_field_mul."""
+    n %= ctx.size - 1
+    result = 1
+    while n:
+        if n & 1:
+            result = reference_field_mul(ctx, red, result, a)
+        a = reference_field_mul(ctx, red, a, a)
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p, deg", [(3, 12), (3, 14), (5, 10), (2, 20), (7, 4)])
+def test_field_arithmetic_matches_schoolbook_reference(p, deg):
+    # the hosts of the U-irreducible scan, far beyond the 81-element tables
+    import random
+
+    ctx = make_context(PrimePower(p), deg)
+    red = reference_red(ctx)
+    rng = random.Random(p * 100 + deg)
+    xs = [rng.randrange(ctx.size) for _ in range(1000)]
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        assert ctx.mul(a, b) == reference_field_mul(ctx, red, a, b)
+    for a in xs[:40]:
+        if a == 0:
+            continue
+        n = rng.randrange(ctx.size)
+        assert ctx.pow(a, n) == reference_field_pow(ctx, red, a, n)
+        assert ctx.inv(a) == reference_field_pow(ctx, red, a, ctx.size - 2)
+
+
+def reference_lex_smallest_irreducible(p, deg):
+    """The full scan: every monic candidate in lex order, divisible-by-t and
+    root-bearing ones filtered before the Rabin test."""
+    import itertools
+
+    from strongreal.fields import _is_irreducible
+
+    if deg == 1:
+        return (0, 1)
+    for tail in itertools.product(range(p), repeat=deg):
+        if tail[0] == 0:
+            continue
+        f = tuple(tail) + (1,)
+        if any(sum(c * a**i for i, c in enumerate(f)) % p == 0 for a in range(p)):
+            continue
+        if _is_irreducible(p, f):
+            return f
+    raise AssertionError("unreachable")
+
+
+def scan_pairs():
+    """(p, deg) with p^(deg-1) <= 10^5 inside the extension cap, for p < 2^10
+    and for the large primes the classifier is run at."""
+    from strongreal.fields import EXTENSION_BIT_CAP, is_prime
+
+    primes = [p for p in range(2, 1 << 10) if is_prime(p)] + [1009, 4099, 16411, 65521]
+    return [
+        (p, deg)
+        for p in primes
+        for deg in range(1, EXTENSION_BIT_CAP + 1)
+        if p ** (deg - 1) <= 10**5 and deg * p.bit_length() <= EXTENSION_BIT_CAP
+    ]
+
+
+def test_modulus_scan_matches_full_scan_reference():
+    from strongreal.fields import _lex_smallest_irreducible
+
+    for p, deg in scan_pairs():
+        assert _lex_smallest_irreducible(p, deg) == reference_lex_smallest_irreducible(p, deg), (p, deg)
+
+
+def test_pinned_moduli_of_large_scan_hosts():
+    # the full scan took 105 s and 21 s to reach these
+    assert make_context(PP5, 14).modulus == (1,) + (0,) * 10 + (1, 0, 3, 1)
+    assert make_context(PP2, 28).modulus == (1,) + (0,) * 26 + (1, 1)

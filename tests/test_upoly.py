@@ -68,6 +68,21 @@ def test_degree_one_count_is_q_plus_one(pp):
     assert len(us) == pp.q + 1
 
 
+def test_degree_one_scan_memory_stays_below_field_size():
+    # the degree-1 roots live in GF(q^2) itself: nothing of size q^2 is built
+    import tracemalloc
+
+    pp = PrimePower(1009)
+    tracemalloc.start()
+    try:
+        us = enumerate_u_irreducibles(pp, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(us) == pp.q + 1
+    assert peak < 10 * 2**20
+
+
 def root_product(ctx, roots):
     """Coefficients of prod (t - r), low degree first, leading 1 included."""
     coeffs = [1]
