@@ -29,9 +29,16 @@ from .counting import (
     series_R,
     series_T,
 )
-from .errors import BudgetExceededError, EnumerationBoundError, StrongRealError
+from .errors import BudgetExceededError, EnumerationBoundError, RealizationError, StrongRealError
 from .fields import make_context, prime_power
-from .oracle import DEFAULT_BUDGETS, Budgets, identity_form, realize_class, reconcile
+from .oracle import (
+    DEFAULT_BUDGETS,
+    Budgets,
+    _block_representative,
+    identity_form,
+    realize_class,
+    reconcile,
+)
 
 
 class UsageError(Exception):
@@ -185,7 +192,11 @@ def _cmd_realize(args) -> int:
     budgets = _budgets(args)
     datum = _read_datum(args.datum, q, datum_from_json)
     form = identity_form(datum.n, q)
-    g = realize_class(datum, form, budgets)
+    try:
+        g = realize_class(datum, form, budgets)
+    except RealizationError:
+        # one form scan per primary block instead of one over the whole datum
+        g = _block_representative(datum, form, budgets, {})
     ctx = make_context(q, 2)
     print(
         _dump(

@@ -1115,11 +1115,44 @@ def _sign_inverse_images(F: GFTable, g: Matrix) -> list:
     return [ginv] + [tuple(tuple(neg[x] for x in row) for row in m) for m in (g, ginv)]
 
 
+def _block_representative(
+    datum: ClassDatum, form: HermitianForm, budgets: Budgets, cache: dict
+) -> Matrix:
+    """A matrix in the class of datum, unitary for the identity form: the
+    direct sum of realize_class on {f: (part)} over every (f, part), which
+    the orthogonal primary decomposition (Wall) allows, checked as
+    realize_class checks its own result.  cache maps (f, part) to its block
+    or to its RealizationError's message, so each is realized once."""
+    pp = datum.q
+    F = table_for(pp)
+    assert form.gram == identity(form.n), "block sums are unitary for the identity form"
+    blocks = []
+    for f, mu in datum.blocks:
+        for part in mu.parts:
+            if (f, part) not in cache:
+                one = class_datum(pp, {f: (part,)})
+                try:
+                    cache[f, part] = realize_class(one, identity_form(one.n, pp), budgets)
+                except RealizationError as exc:
+                    cache[f, part] = str(exc)
+            block = cache[f, part]
+            if isinstance(block, str):
+                raise RealizationError(f"block {part} at {f}: {block}")
+            blocks.append(block)
+    g = _block_diag(*blocks)
+    if not is_unitary(F, g, form.gram):
+        raise RealizationError("block sum failed the unitarity check")
+    if extract_class_datum(g, pp) != datum:
+        raise RealizationError("block sum has the wrong class datum")
+    return g
+
+
 def _representative_records(data, form: HermitianForm, budgets: Budgets):
     """(datum, real, strongly real) for each of the class data, realizing and
     walking only the first class of each orbit of g -> +-g^(+-1) among them.
 
-    For s, e in {1, -1}, h (s g^e) h^(-1) = (s g^e)^(-1) iff h g h^(-1) =
+    Representatives are block sums, each block realized once per call.  For
+    s, e in {1, -1}, h (s g^e) h^(-1) = (s g^e)^(-1) iff h g h^(-1) =
     g^(-1), and reversing_space returns the same basis for all four, so
     their walks are one computation, budget outcome included.  Each image
     must be unitary, have g's centralizer order and be one of the data,
@@ -1129,12 +1162,13 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
     F = table_for(pp)
     found: dict = {}
     shared: dict = {}
+    blocks: dict = {}
     for datum in data:
         if datum in shared:
             found[datum] = shared.pop(datum)
             continue
         try:
-            g = realize_class(datum, form, budgets)
+            g = _block_representative(datum, form, budgets, blocks)
         except RealizationError:
             found[datum] = (None, None)  # budget too small to even realize
             continue

@@ -12,7 +12,7 @@ import pytest
 import strongreal
 from strongreal.cli import main
 from strongreal.counting import series_R, series_T
-from strongreal.fields import prime_power
+from strongreal.fields import make_context, prime_power, table_for
 
 
 def run(capsys, *argv):
@@ -273,6 +273,25 @@ def test_realize(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["matrix"]) == 2
     assert payload["form"]["gram"] == [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def test_realize_falls_back_to_a_block_sum(tmp_path, capsys):
+    # the scalar class at t - 1 in U(4, F_3): the whole-datum form scan
+    # needs 20,412 candidates, each 1 x 1 block needs one
+    from strongreal.classdata import datum_from_json
+    from strongreal.linalg import identity, is_unitary
+    from strongreal.oracle import extract_class_datum
+
+    q = prime_power(3)
+    text = json.dumps({"blocks": [{"partition": [1, 1, 1, 1], "poly": [[2, 0]]}], "q": {"e": 1, "p": 3}})
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "realize", "--q", "3", "--budget", "20000", "--datum", str(path))
+    assert code == 0
+    ctx = make_context(q, 2)
+    g = tuple(tuple(ctx.from_coords(a) for a in row) for row in json.loads(out)["matrix"])
+    assert is_unitary(table_for(q), g, identity(4))
+    assert extract_class_datum(g, q) == datum_from_json(json.loads(text))
 
 
 def test_verify_ok(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from strongreal.fields import PrimePower, prime_power, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
     Budgets,
+    _block_representative,
     _conjugation_orbits,
     _representative_records,
     _representative_verdicts,
@@ -593,6 +595,65 @@ def test_one_realization_per_orbit_u35(monkeypatch):
     assert report.strategy == "representatives"
     assert len(report.records) == 192
     assert len(calls) <= 52
+
+
+def test_failing_block_is_scanned_once(monkeypatch):
+    # one form candidate is too few for the 3 x 3 block at t + 1 in
+    # U(4, F_2) and enough for every other block: each block is realized
+    # once, and every class containing the failing one is left undecided
+    calls = Counter()
+    realize = oracle.realize_class
+
+    def counted(datum, *args):
+        calls[datum] += 1
+        return realize(datum, *args)
+
+    monkeypatch.setattr(oracle, "realize_class", counted)
+    budgets = Budgets(realize_scan=1)
+    data = enumerate_class_data(4, PP2, max_n=4, max_q=2)
+    records = _representative_records(data, identity_form(4, PP2), budgets)
+    assert set(calls.values()) == {1}
+    failing = []
+    for block in calls:
+        try:
+            realize(block, identity_form(block.n, PP2), budgets)
+        except RealizationError:
+            failing.append(block.blocks[0])
+    assert [(f.degree, mu.parts) for f, mu in failing] == [(1, (3,))]
+    f = failing[0][0]
+    undecided = [datum for datum, real, sr in records if (real, sr) == (None, None)]
+    assert undecided == [datum for datum, *_ in records if 3 in datum.partition_at(f).parts]
+    assert len(undecided) == 3
+    assert not any(None in verdicts for datum, *verdicts in records if datum not in undecided)
+
+
+BLOCK_SUM_CASES = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("q,n", BLOCK_SUM_CASES)
+def test_block_sums_match_whole_datum_realization(q, n, monkeypatch):
+    # every block sum is a unitary member of its class, and walking it gives
+    # the verdicts of walking realize_class on the whole datum
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    data = list(enumerate_class_data(n, pp, max_n=n, max_q=q))
+    cache: dict = {}
+    for datum in data:
+        g = _block_representative(datum, form, Budgets(), cache)
+        assert is_unitary(F, g, form.gram)
+        assert extract_class_datum(g, pp) == datum
+    records = _representative_records(data, form, Budgets())
+    monkeypatch.setattr(
+        oracle,
+        "_block_representative",
+        lambda datum, form, budgets, cache: realize_class(datum, form, budgets),
+    )
+    reference = _representative_records(data, form, Budgets())
+    assert [datum for datum, *_ in records] == [datum for datum, *_ in reference]
+    for (_, *verdicts), (_, *expected) in zip(records, reference):
+        if None not in expected:
+            assert verdicts == expected
 
 
 def test_witnesses_give_involution_factorizations():

@@ -544,10 +544,11 @@ def test_reconcile_u43_budget_20000():
     # the non-real classes (1,1,1) + (1) are decided; for the 4 with the
     # triple eigenvalue at t - 1 or t + 1 the reversing space is 9-dimensional
     # and no search could finish in budget, but its columns span only 3
-    # dimensions, so the walk ends at zero nodes.  Left undecided: the 4
-    # scalar classes (first invertible form at candidate 20,412) and (2,1,1)
-    # at t - 1 and t + 1 (no involution among 93,312 unitary reversers, more
-    # nodes than the budget)
+    # dimensions, so the walk ends at zero nodes.  The 4 scalar classes,
+    # whose first invertible form over the whole datum comes at candidate
+    # 20,412, are decided through block sums of 1 x 1 blocks.  Left
+    # undecided: (2,1,1) at t - 1 and t + 1, real (no involution among
+    # 93,312 unitary reversers, more nodes than the budget)
     pp = prime_power(3)
     ctx2 = make_context(pp, 2)
     plus_minus_one = {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, 2)}
@@ -559,9 +560,19 @@ def test_reconcile_u43_budget_20000():
     def shape(r):
         return sorted(mu.parts for _, mu in r.datum.blocks)
 
+    def verdicts(r):
+        return r.oracle_real, r.oracle_strongly_real
+
     split = [r for r in report.records if shape(r) == [(1,), (1, 1, 1)] and not r.classifier_real]
-    assert all((r.oracle_real, r.oracle_strongly_real) == (False, False) for r in split)
+    assert all(verdicts(r) == (False, False) for r in split)
     triple = [f for r in split for f, mu in r.datum.blocks if mu.parts == (1, 1, 1)]
     assert sum(f in plus_minus_one for f in triple) == 4
-    undecided = sorted(shape(r) for r in report.undecided)
-    assert undecided == [[(1, 1, 1, 1)]] * 4 + [[(2, 1, 1)]] * 2
+    scalar = [r for r in report.records if shape(r) == [(1, 1, 1, 1)]]
+    at_one = [r.datum.blocks[0][0] in plus_minus_one for r in scalar]
+    assert sorted(at_one) == [False, False, True, True]
+    for r, real in zip(scalar, at_one):
+        assert verdicts(r) == ((True, True) if real else (False, False))
+    undecided = report.undecided
+    assert [shape(r) for r in undecided] == [[(2, 1, 1)]] * 2
+    assert {r.datum.blocks[0][0] for r in undecided} == plus_minus_one
+    assert all(r.oracle_real is True for r in undecided)
