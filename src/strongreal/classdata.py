@@ -18,7 +18,6 @@ from .fields import PrimePower, make_context
 from .upoly import (
     MonicPoly,
     UIrreducible,
-    factor_into_u_irreducibles,
     monic_poly,
     poly_from_json,
     poly_mul,
@@ -210,13 +209,6 @@ def unipotent_datum(q: PrimePower, mu) -> ClassDatum:
     return class_datum(q, {t_minus_one(q): mu})
 
 
-def negative_unipotent_datum(q: PrimePower, mu) -> ClassDatum:
-    mu = mu if isinstance(mu, Partition) else partition(mu)
-    if mu.size == 0:
-        return ClassDatum(q, ())
-    return class_datum(q, {t_plus_one(q): mu})
-
-
 def is_real(d: ClassDatum) -> bool:
     """True iff the partition at f equals the partition at tilde(f) for all f."""
     for f, mu in d.blocks:
@@ -307,17 +299,6 @@ def u_sequence(d: ClassDatum) -> list[MonicPoly]:
     return out
 
 
-def from_u_sequence(q: PrimePower, seq) -> ClassDatum:
-    """Rebuild the datum from (u_1, u_2, ...) by factoring each u_i."""
-    collected: dict = {}
-    for i, u in enumerate(seq, start=1):
-        if u.degree == 0:
-            continue
-        for f, mult in factor_into_u_irreducibles(u):
-            collected.setdefault(f, []).extend([i] * mult)
-    return class_datum(q, {f: partition(parts) for f, parts in collected.items()})
-
-
 def datum_from_json(obj) -> ClassDatum:
     q = PrimePower(obj["q"]["p"], obj["q"].get("e", 1))
     ctx = make_context(q, 2)
@@ -364,12 +345,6 @@ class SignedPartition:
     @property
     def size(self) -> int:
         return self.base.size
-
-    def sign_of(self, part: int) -> int:
-        for p, s in self.signs:
-            if p == part:
-                return s
-        raise KeyError(part)
 
     def even_value_count(self) -> int:
         return len(self.signs)

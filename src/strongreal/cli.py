@@ -29,7 +29,7 @@ from .counting import (
     series_R,
     series_T,
 )
-from .errors import BudgetExceededError, EnumerationBoundError, RealizationError, StrongRealError
+from .errors import BudgetExceededError, EnumerationBoundError, RealizationBudgetError, StrongRealError
 from .fields import make_context, prime_power
 from .oracle import (
     DEFAULT_BUDGETS,
@@ -194,7 +194,7 @@ def _cmd_realize(args) -> int:
     form = identity_form(datum.n, q)
     try:
         g = realize_class(datum, form, budgets)
-    except RealizationError:
+    except RealizationBudgetError:
         # one form scan per primary block instead of one over the whole datum
         g = _block_representative(datum, form, budgets, {})
     ctx = make_context(q, 2)

@@ -42,7 +42,11 @@ class BudgetExceededError(StrongRealError, RuntimeError):
 
 
 class RealizationError(StrongRealError, RuntimeError):
-    """No nondegenerate invariant Hermitian form found within budget."""
+    """A class datum could not be realized as a checked unitary matrix."""
+
+
+class RealizationBudgetError(BudgetExceededError, RealizationError):
+    """The invariant-form scan ran out of realize_scan candidates."""
 
 
 class GroupClosureError(StrongRealError, RuntimeError):

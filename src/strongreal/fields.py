@@ -6,9 +6,9 @@ coefficient vectors are compared low degree first as integers 0..p-1.
 
 Elements are dense GF(p) coefficient vectors packed into a Python int in base
 p, low digit first.  Contexts are immutable and cached, so identity comparison
-of contexts is meaningful.  The bar map on a GF(q^2) context is a -> a^q and
-the twisted map is a -> a^(-q); both are FieldCtx methods on packed elements
-of any context whose degree over GF(q) is at least 1.
+of contexts is meaningful.  The bar map on a GF(q^2) context is a -> a^q,
+FieldCtx.conj, defined on packed elements of any context whose degree over
+GF(q) is at least 1.
 """
 
 from __future__ import annotations
@@ -225,29 +225,20 @@ class FieldCtx:
         return _pack(p, [c % p for c in coords])
 
     # -- ring operations on packed ints -------------------------------------
+    # a // p^i is congruent to digit i of a (to_coords) mod p, so one % p
+    # gives each digit of a sum, difference or negative
 
     def add(self, a: int, b: int) -> int:
         p = self.p
-        return self._digitwise(a, b, lambda x, y: (x + y) % p)
-
-    def _digitwise(self, a, b, op):
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.deg):
-            out += op(a % p, b % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return _pack(p, [(a // w + b // w) % p for w in self._powers])
 
     def sub(self, a: int, b: int) -> int:
         p = self.p
-        return self._digitwise(a, b, lambda x, y: (x - y) % p)
+        return _pack(p, [(a // w - b // w) % p for w in self._powers])
 
     def neg(self, a: int) -> int:
         p = self.p
-        return self._digitwise(a, 0, lambda x, _: (-x) % p)
+        return _pack(p, [-(a // w) % p for w in self._powers])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -282,12 +273,6 @@ class FieldCtx:
     def conj(self, a: int) -> int:
         """The bar map a -> a^q (order 2 on a GF(q^2) context)."""
         return self.frobenius_q(a, 1)
-
-    def u_frob(self, a: int) -> int:
-        """The twisted map a -> a^(-q)."""
-        if a == 0:
-            raise ZeroInputError("a -> a^(-q) is undefined at zero")
-        return self.inv(self.frobenius_q(a, 1))
 
     # -- multiplicative structure -------------------------------------------
 
@@ -352,10 +337,6 @@ class FieldCtx:
             mapping[acc] = y
         self._sub_maps[key] = mapping
         return mapping
-
-    def embed_from(self, sub: "FieldCtx") -> dict:
-        """Packed-value dict from `sub` into this field."""
-        return {v: k for k, v in self.subfield_map(sub).items()}
 
     def _subfield_root(self, sub: "FieldCtx") -> int:
         """Smallest packed root of sub.modulus in this field."""
@@ -436,7 +417,6 @@ class GFTable:
         self.inv = [0] + [exp[-la % m] for la in logs]
         self.conj = [0] + [exp[la * ctx.pp.q % m] for la in logs]
         self.one = 1
-        self.zero = 0
         self.base_elems = tuple(a for a in range(n) if self.conj[a] == a)
         self.norm_one = tuple(
             a for a in range(1, n) if self.mul[a][self.conj[a]] == 1
@@ -447,9 +427,6 @@ class GFTable:
 
     def sub(self, a, b):
         return self.add[a][self.neg[b]]
-
-    def norm(self, a):
-        return self.mul[a][self.conj[a]]
 
 
 @lru_cache(maxsize=None)

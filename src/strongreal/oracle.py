@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceededError,
     CountMismatchError,
     GroupClosureError,
+    RealizationBudgetError,
     RealizationError,
 )
 from .fields import GFTable, PrimePower, make_context, prime_power, table_for
@@ -595,7 +596,7 @@ def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
 
     X = block(m, ((0,) * n,) * n, 0)
     if X is None:
-        raise RealizationError(
+        raise RealizationBudgetError(
             f"no nondegenerate invariant form within {budget} candidates"
         )
     return X
@@ -1122,7 +1123,7 @@ def _block_representative(
     direct sum of realize_class on {f: (part)} over every (f, part), which
     the orthogonal primary decomposition (Wall) allows, checked as
     realize_class checks its own result.  cache maps (f, part) to its block
-    or to its RealizationError's message, so each is realized once."""
+    or to the RealizationBudgetError it raised, so each is scanned once."""
     pp = datum.q
     F = table_for(pp)
     assert form.gram == identity(form.n), "block sums are unitary for the identity form"
@@ -1133,11 +1134,11 @@ def _block_representative(
                 one = class_datum(pp, {f: (part,)})
                 try:
                     cache[f, part] = realize_class(one, identity_form(one.n, pp), budgets)
-                except RealizationError as exc:
-                    cache[f, part] = str(exc)
+                except RealizationBudgetError as exc:
+                    cache[f, part] = exc
             block = cache[f, part]
-            if isinstance(block, str):
-                raise RealizationError(f"block {part} at {f}: {block}")
+            if isinstance(block, RealizationBudgetError):
+                raise block.with_traceback(None)  # else each raise extends it
             blocks.append(block)
     g = _block_diag(*blocks)
     if not is_unitary(F, g, form.gram):
@@ -1156,7 +1157,9 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
     g^(-1), and reversing_space returns the same basis for all four, so
     their walks are one computation, budget outcome included.  Each image
     must be unitary, have g's centralizer order and be one of the data,
-    else CountMismatchError.  A class that fails to realize shares nothing.
+    else CountMismatchError.  A class whose form scan runs out of budget is
+    recorded undecided and shares nothing; any other RealizationError
+    propagates.
     """
     pp = form.q
     F = table_for(pp)
@@ -1169,7 +1172,7 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
             continue
         try:
             g = _block_representative(datum, form, budgets, blocks)
-        except RealizationError:
+        except RealizationBudgetError:
             found[datum] = (None, None)  # budget too small to even realize
             continue
         found[datum] = verdicts = _representative_verdicts(g, datum, form, budgets)

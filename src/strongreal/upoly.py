@@ -22,7 +22,7 @@ from .errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from .fields import FieldCtx, GFTable, PrimePower, make_context, table_for
+from .fields import FieldCtx, PrimePower, make_context, table_for
 
 SELF_CONJ_ENUM_BOUND = 10**7
 
@@ -83,42 +83,21 @@ def poly_from_json(ctx: FieldCtx, arr) -> MonicPoly:
     return MonicPoly(ctx, tuple(map(ctx.from_coords, vecs)))
 
 
-def padd(F: GFTable, a, b):
-    """Sum of two coefficient tuples (low degree first) over the table F."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    add = F.add
-    for i, x in enumerate(b):
-        out[i] = add[out[i]][x]
-    return tuple(out)
-
-
-def pmul(F: GFTable, a, b):
-    """Product of two coefficient tuples (low degree first) over the table F."""
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = F.add, F.mul
-    for i, x in enumerate(a):
-        if x:
-            row = mul[x]
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add[out[i + j]][row[y]]
-    return tuple(out)
-
-
-def pscale(F: GFTable, c: int, a):
-    """c times a coefficient tuple over the table F."""
-    row = F.mul[c]
-    return tuple(row[x] for x in a)
-
-
 def poly_mul(a: MonicPoly, b: MonicPoly) -> MonicPoly:
     if a.ctx is not b.ctx:
         raise ValueError("polynomials over different contexts")
-    out = pmul(table_for(a.ctx.pp, a.ctx.k), a.full(), b.full())
+    F = table_for(a.ctx.pp, a.ctx.k)
+    add, mul = F.add, F.mul
+    bs = b.full()
+    out = [0] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.full()):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(bs):
+                if y:
+                    out[i + j] = add[out[i + j]][row[y]]
     assert out[-1] == 1
-    return MonicPoly(a.ctx, out[:-1])
+    return MonicPoly(a.ctx, tuple(out[:-1]))
 
 
 def poly_divmod(u: MonicPoly, f: MonicPoly):

@@ -10,11 +10,9 @@ from strongreal.classdata import (
     commutant_dim,
     datum_from_json,
     enumerate_signed_partitions,
-    from_u_sequence,
     is_real,
     make_class_datum,
     negate,
-    negative_unipotent_datum,
     partition,
     partitions_of,
     signed_partition,
@@ -31,7 +29,7 @@ from strongreal.counting import enumerate_class_data
 from strongreal.errors import DatumError, NegationUndefinedError
 from strongreal.fields import PrimePower, prime_power
 from strongreal.oracle import unitary_order
-from strongreal.upoly import enumerate_u_irreducibles, tilde
+from strongreal.upoly import enumerate_u_irreducibles, factor_into_u_irreducibles, tilde
 
 PP2 = PrimePower(2)
 PP3 = PrimePower(3)
@@ -149,7 +147,8 @@ def test_star_decompose():
 
 
 def test_negate():
-    assert negate(negative_unipotent_datum(PP3, [3, 1])) == unipotent_datum(PP3, [3, 1])
+    minus_unipotent = class_datum(PP3, {t_plus_one(PP3): partition([3, 1])})
+    assert negate(minus_unipotent) == unipotent_datum(PP3, [3, 1])
     d = class_datum(
         PP3, {t_minus_one(PP3): partition([2]), t_plus_one(PP3): partition([1])}
     )
@@ -169,6 +168,15 @@ def test_u_sequence_examples():
     assert [u.coeffs for u in seq] == [ctx_neg1, (), ctx_neg1]
     seq2 = u_sequence(unipotent_datum(PP3, [2, 2, 2, 1, 1]))
     assert [u.degree for u in seq2] == [2, 3]
+
+
+def from_u_sequence(q, seq):
+    """Rebuild the datum from (u_1, u_2, ...) by factoring each u_i."""
+    collected: dict = {}
+    for i, u in enumerate(seq, start=1):
+        for f, mult in factor_into_u_irreducibles(u):
+            collected.setdefault(f, []).extend([i] * mult)
+    return class_datum(q, {f: partition(parts) for f, parts in collected.items()})
 
 
 def test_u_sequence_roundtrip_exhaustive():
@@ -195,7 +203,7 @@ def test_signed_partition_validation():
     g = signed_partition([5, 5, 4, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1], {4: -1, 2: 1})
     assert g.size == 34
     assert g.even_value_count() == 2
-    assert g.sign_of(4) == -1 and g.sign_of(2) == 1
+    assert g.signs == ((4, -1), (2, 1))
     with pytest.raises(DatumError):
         signed_partition([3], {})  # odd part with odd multiplicity
     with pytest.raises(DatumError):

@@ -294,6 +294,17 @@ def test_realize_falls_back_to_a_block_sum(tmp_path, capsys):
     assert extract_class_datum(g, q) == datum_from_json(json.loads(text))
 
 
+def test_realize_out_of_form_budget_exits_three(tmp_path, capsys):
+    # one form candidate is too few for (3) at t + 1 over F_2, as a whole
+    # datum and as its one block: running out is budget exhaustion
+    path = tmp_path / "jordan3.json"
+    path.write_text(json.dumps({"blocks": [{"partition": [3], "poly": [[1, 0]]}], "q": {"e": 1, "p": 2}}))
+    code, out, err = run(capsys, "realize", "--q", "2", "--budget", "1", "--datum", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exhausted: no nondegenerate invariant form within 1 candidates")
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "1")
     assert code == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from strongreal.errors import ZeroInputError
-from strongreal.fields import PrimePower, table_for
+from strongreal.fields import PrimePower, prime_power, table_for
 from strongreal.linalg import (
     charpoly,
     conj_transpose,
@@ -29,6 +29,58 @@ F2 = table_for(PP2)
 
 def random_matrix(rng, F, n):
     return tuple(tuple(rng.randrange(F.size) for _ in range(n)) for _ in range(n))
+
+
+def reference_charpoly(F, A):
+    """The Laplace expansion charpoly replaced: det(tI - A) memoized over
+    the 2^n column subsets, with its own coefficient-tuple helpers."""
+    n = len(A)
+    add, mul, neg = F.add, F.mul, F.neg
+
+    def padd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] = add[out[i]][x]
+        return tuple(out)
+
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = add[out[i + j]][mul[x][y]]
+        return tuple(out)
+
+    def pscale(c, a):
+        return tuple(mul[c][x] for x in a)
+
+    # entry (i, j) of tI - A as a linear polynomial
+    ent = [[(neg[A[i][j]], 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    memo = {0: (1,)}
+
+    def det(mask):
+        if mask not in memo:
+            cols = [j for j in range(n) if mask >> j & 1]
+            row = n - len(cols)
+            acc = (0,)
+            for pos, j in enumerate(cols):
+                term = pmul(ent[row][j], det(mask & ~(1 << j)))
+                acc = padd(acc, term if pos % 2 == 0 else pscale(neg[1], term))
+            memo[mask] = acc
+        return memo[mask]
+
+    full = det((1 << n) - 1)
+    full = full + (0,) * (n + 1 - len(full))
+    assert full[n] == 1
+    return tuple(full[:n])
+
+
+def sparse_matrix(rng, F, n, density):
+    return tuple(
+        tuple(rng.randrange(1, F.size) if rng.random() < density else 0 for _ in range(n))
+        for _ in range(n)
+    )
 
 
 def test_mul_identity_and_associativity():
@@ -112,6 +164,35 @@ def test_charpoly_against_pointwise_determinants():
                 for c in reversed(coeffs):
                     val = F.add[F.mul[val][x]][c]
                 assert val == mat_det(F, shifted)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_charpoly_matches_laplace_reference(q):
+    """Dense, sparse and singular matrices, and ones whose Hessenberg
+    reduction meets a zero pivot with a nonzero entry below it (row and
+    column swap) or with none (the column is skipped)."""
+    F = table_for(prime_power(q))
+    rng = random.Random(q)
+    for n in range(8):
+        cases = [random_matrix(rng, F, n) for _ in range(12)]
+        cases += [sparse_matrix(rng, F, n, density) for density in (0.1, 0.3, 0.5) for _ in range(4)]
+        for _ in range(4):
+            a = [list(row) for row in random_matrix(rng, F, n)]
+            if n:
+                a[rng.randrange(n)] = [0] * n  # singular
+            cases.append(a)
+        for col in range(max(n - 2, 0)):
+            # upper Hessenberg with a zero at (col + 1, col): the reduction
+            # swaps in a nonzero entry from below, or skips the column
+            for below in (rng.randrange(1, F.size), 0):
+                a = [[x if i <= j + 1 else 0 for j, x in enumerate(row)]
+                     for i, row in enumerate(random_matrix(rng, F, n))]
+                a[col + 1][col] = 0
+                a[col + 2][col] = below
+                cases.append(a)
+        for a in cases:
+            a = tuple(map(tuple, a))
+            assert charpoly(F, a) == reference_charpoly(F, a), (q, a)
 
 
 def test_charpoly_of_companion():

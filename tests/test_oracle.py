@@ -15,6 +15,7 @@ from strongreal.errors import (
     BudgetExceededError,
     CountMismatchError,
     GroupClosureError,
+    RealizationBudgetError,
     RealizationError,
 )
 from strongreal.fields import PrimePower, prime_power, table_for
@@ -625,6 +626,24 @@ def test_failing_block_is_scanned_once(monkeypatch):
     assert undecided == [datum for datum, *_ in records if 3 in datum.partition_at(f).parts]
     assert len(undecided) == 3
     assert not any(None in verdicts for datum, *verdicts in records if datum not in undecided)
+
+
+def test_only_a_form_budget_error_leaves_a_class_undecided(monkeypatch):
+    # a failed check in realize_class is a fault, not an undecided record
+    def broken(datum, *args):
+        raise RealizationError("realized matrix has the wrong class datum")
+
+    monkeypatch.setattr(oracle, "realize_class", broken)
+    with pytest.raises(RealizationError, match="wrong class datum"):
+        reconcile(2, 3, Budgets.uniform(10))
+
+    def starved(datum, *args):
+        raise RealizationBudgetError("no nondegenerate invariant form within 10 candidates")
+
+    monkeypatch.setattr(oracle, "realize_class", starved)
+    report = reconcile(2, 3, Budgets.uniform(10))
+    assert report.strategy == "representatives"
+    assert all(r.oracle_real is None and r.oracle_strongly_real is None for r in report.records)
 
 
 BLOCK_SUM_CASES = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
