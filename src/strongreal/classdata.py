@@ -125,9 +125,6 @@ class ClassDatum:
                 return mu
         return EMPTY
 
-    def support(self):
-        return tuple(f for f, _ in self.blocks)
-
     def to_json(self):
         return {
             "q": self.q.to_json(),

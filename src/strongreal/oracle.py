@@ -22,7 +22,6 @@ from .classdata import (
     ClassDatum,
     centralizer_order,
     class_datum,
-    is_real as datum_is_real,
     partition,
     unitary_order,
 )
@@ -341,29 +340,13 @@ def enumerate_group(
     members; otherwise it stops as soon as the closure is complete (label
     closure, guarded by the group budget).  Every generator must pass
     is_unitary, so the closure lies in U(n, F_q), and its order must equal
-    the formula, so it is all of U(n, F_q).  Non-identity forms are reached
-    by transporting the identity form group through a congruence.
+    the formula, so it is all of U(n, F_q).  The search, the closure and
+    both checks are the same for every form.
     """
     pp = q if isinstance(q, PrimePower) else prime_power(q)
     F = table_for(pp)
     if form is None:
         form = identity_form(n, pp)
-    if form.gram != identity(n):
-        base = enumerate_group(n, pp, None, budgets)
-        r = congruence_to_identity(F, form.gram)
-        rinv = mat_inv(F, r)
-        # x -> r x r^(-1) as ((x r^(-1))* r*)*
-        codec = base.codec
-        t_rinv, t_rstar = codec.table(rinv), codec.table(conj_transpose(F, r))
-        codes = [
-            codec.adjoint(_times(codec.adjoint(_times(x, t_rinv)), t_rstar))
-            for x in base.codes
-        ]
-        gens = tuple(mat_mul(F, mat_mul(F, r, g), rinv) for g in base.generators)
-        index = {x: i for i, x in enumerate(codes)}
-        strategy = base.strategy + "+transport"
-        return GroupEnumeration(form, gens, strategy, codec, codes, index, base.right, base.inverse)
-
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
     members = _entrywise_members(F, n, form.gram)
@@ -392,8 +375,14 @@ def enumerate_group(
         )
     if not all(is_unitary(F, g, form.gram) for g in gens):
         raise GroupClosureError("a generator failed the unitarity check")
-    # x^(-1) = J^(-1) x* J is x* for the identity form
-    inverse = [index[codec.adjoint(x)] for x in codes]
+    # x^(-1) = J^(-1) x* J: x* for the identity form, else, since J and
+    # J^(-1) are Hermitian, ((x* J)* J^(-1))*
+    adjoint = codec.adjoint
+    if form.gram == identity(n):
+        inverse = [index[adjoint(x)] for x in codes]
+    else:
+        t_j, t_jinv = codec.table(form.gram), codec.table(mat_inv(F, form.gram))
+        inverse = [index[adjoint(_times(adjoint(_times(adjoint(x), t_j)), t_jinv))] for x in codes]
     return GroupEnumeration(form, gens, strategy, codec, codes, index, right, inverse)
 
 
@@ -657,7 +646,7 @@ def realize_class(
     F = table_for(pp)
     n = d.n
     if n == 0:
-        raise RealizationError("cannot realize the empty datum")
+        return ()
     if form is None:
         form = identity_form(n, pp)
     if form.n != n:
@@ -680,6 +669,18 @@ def realize_class(
 # explicit representatives used by the positive/negative constructions
 
 
+def _unipotent(n: int, r: int, blocks: dict) -> Matrix:
+    """I_n plus c I_r at block (k, l) of the grid of r x r blocks, for each
+    (k, l): c in blocks."""
+    return tuple(
+        tuple(
+            1 if i == j else blocks.get((i // r, j // r), 0) if (j - i) % r == 0 else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def explicit_representative(kind: str, q, r: int = 1, m: int = 0):
     """The displayed matrix for a named construction, with its form.
 
@@ -696,56 +697,25 @@ def explicit_representative(kind: str, q, r: int = 1, m: int = 0):
         if m < 0:
             raise ValueError("two_one requires m >= 0")
         a = next(x for x in F.trace_zero if x)
-        n = 2 * r + m
-        gram = _block_diag(anti_diagonal(2 * r), identity(m)) if m else anti_diagonal(2 * r)
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 1
-            if i < r:
-                row[i + r] = a
-            rows.append(tuple(row))
-        g = tuple(rows)
+        g = _unipotent(2 * r + m, r, {(0, 1): a})
+        gram = _block_diag(anti_diagonal(2 * r), identity(m))
     elif kind in ("three_one", "three_two", "three_r"):
         if pp.p != 2:
             raise ValueError(f"{kind} requires even q")
+        if kind != "three_r":
+            r = 1
+        elif r < 1 or r % 2 == 0:
+            raise ValueError("three_r requires odd r")
         a = 1
         aa = F.mul[a][F.conj[a]]
         b = next(x for x in range(F.size) if F.add[x][F.conj[x]] == aa)
-        ab = F.conj[a]
+        g = _unipotent(3 * r, r, {(0, 1): a, (0, 2): b, (1, 2): F.conj[a]})
+        gram = anti_diagonal(3 * r)
+        # (3,1) and (3,2) add a trivial and a regular unipotent U(1), U(2) block
         if kind == "three_one":
-            gram = _block_diag(anti_diagonal(3), identity(1))
-            g = (
-                (1, a, b, 0),
-                (0, 1, ab, 0),
-                (0, 0, 1, 0),
-                (0, 0, 0, 1),
-            )
+            g, gram = _block_diag(g, identity(1)), _block_diag(gram, identity(1))
         elif kind == "three_two":
-            gram = _block_diag(anti_diagonal(3), anti_diagonal(2))
-            g = (
-                (1, a, b, 0, 0),
-                (0, 1, ab, 0, 0),
-                (0, 0, 1, 0, 0),
-                (0, 0, 0, 1, 1),
-                (0, 0, 0, 0, 1),
-            )
-        else:
-            if r < 1 or r % 2 == 0:
-                raise ValueError("three_r requires odd r")
-            n = 3 * r
-            gram = anti_diagonal(n)
-            rows = []
-            for i in range(n):
-                row = [0] * n
-                row[i] = 1
-                if i < r:
-                    row[i + r] = a
-                    row[i + 2 * r] = b
-                elif i < 2 * r:
-                    row[i + r] = ab
-                rows.append(tuple(row))
-            g = tuple(rows)
+            g, gram = _block_diag(g, ((1, 1), (0, 1))), _block_diag(gram, anti_diagonal(2))
     else:
         raise ValueError(f"unknown representative kind {kind!r}")
     form = HermitianForm(pp, gram)
@@ -987,7 +957,11 @@ class ClassRecord:
     oracle_real: bool | None  # None when every strategy ran out of budget
     oracle_strongly_real: bool | None
     verdict: classify.Verdict
-    classifier_real: bool
+
+    @property
+    def classifier_real(self) -> bool:
+        # strongly_real answers with the reality rule exactly when is_real fails
+        return self.verdict.rule != classify.RULE_REALITY
 
     @property
     def agree(self) -> bool:
@@ -1244,9 +1218,7 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         strategy, group_order = "representatives", None
     records = sorted(
         (
-            ClassRecord(
-                datum, oracle_real, oracle_sr, classify.strongly_real(datum), datum_is_real(datum)
-            )
+            ClassRecord(datum, oracle_real, oracle_sr, classify.strongly_real(datum))
             for datum, oracle_real, oracle_sr in found
         ),
         key=lambda r: [(f.sort_key(), mu.parts) for f, mu in r.datum.blocks],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     EnumerationBoundError,
@@ -137,7 +138,6 @@ class UIrreducible:
     """A U-irreducible polynomial with a descriptor of its root orbit."""
 
     poly: MonicPoly
-    orbit_host_degree: int
     orbit_rep: int
 
     @property
@@ -151,28 +151,12 @@ class UIrreducible:
     def sort_key(self):
         return (self.poly.degree, self.poly.coeffs)
 
-    def to_json(self):
-        return {
-            "poly": self.poly.to_json(),
-            "degree": self.degree,
-            "orbit_host_degree": self.orbit_host_degree,
-        }
-
     def __repr__(self):
         return f"UIrreducible(deg={self.degree}, coeffs={self.poly.coeffs})"
 
 
-# cache: (p, e) -> {degree: tuple[UIrreducible]}
-_BY_DEGREE: dict = {}
-# cache: (p, e) -> {coeffs: UIrreducible}, for all degrees loaded so far
-_LOOKUP: dict = {}
-
-
+@cache
 def _u_irreducibles_of_degree(pp: PrimePower, d: int):
-    key = (pp.p, pp.e)
-    per_q = _BY_DEGREE.setdefault(key, {})
-    if d in per_q:
-        return per_q[d]
     q = pp.q
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
@@ -213,14 +197,14 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
         assert coeffs[-1] == 1
         small = tuple(coeffs[:-1] if down is None else (down[c] for c in coeffs[:-1]))
         rep = min(exp[idx] for idx in orbit)
-        polys.append(UIrreducible(MonicPoly(ctx2, small), d, rep))
+        polys.append(UIrreducible(MonicPoly(ctx2, small), rep))
     assert covered == order, "orbit scan must partition the subgroup"
-    result = tuple(sorted(polys, key=lambda u: u.sort_key()))
-    per_q[d] = result
-    lookup = _LOOKUP.setdefault(key, {})
-    for u in result:
-        lookup[u.poly.coeffs] = u
-    return result
+    return tuple(sorted(polys, key=lambda u: u.sort_key()))
+
+
+@cache
+def _by_coeffs(pp: PrimePower, d: int) -> dict:
+    return {u.poly.coeffs: u for u in _u_irreducibles_of_degree(pp, d)}
 
 
 def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
@@ -237,8 +221,7 @@ def u_irreducible_lookup(q: PrimePower, poly: MonicPoly) -> UIrreducible | None:
     """The UIrreducible with these coefficients, or None."""
     if poly.degree < 1:
         return None
-    _u_irreducibles_of_degree(q, poly.degree)
-    return _LOOKUP[(q.p, q.e)].get(poly.coeffs)
+    return _by_coeffs(q, poly.degree).get(poly.coeffs)
 
 
 def tilde(f):

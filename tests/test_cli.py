@@ -275,6 +275,18 @@ def test_realize(tmp_path, capsys):
     assert payload["form"]["gram"] == [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
+def test_realize_empty_datum(tmp_path, capsys):
+    # the datum list prints for n = 0 realizes as the 0 x 0 matrix
+    code, out, _ = run(capsys, "list", "--q", "3", "--n", "0")
+    assert code == 0
+    path = tmp_path / "empty.json"
+    path.write_text(out)
+    for budget in ([], ["--budget", "1"]):
+        code, out, err = run(capsys, "realize", "--q", "3", *budget, "--datum", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"form": {"gram": [], "q": {"e": 1, "p": 3}}, "matrix": []}
+
+
 def test_realize_falls_back_to_a_block_sum(tmp_path, capsys):
     # the scalar class at t - 1 in U(4, F_3): the whole-datum form scan
     # needs 20,412 candidates, each 1 x 1 block needs one

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongreal import oracle
-from strongreal.errors import CountMismatchError
+from strongreal.errors import CountMismatchError, GroupClosureError
 from strongreal.fields import prime_power, table_for
 from strongreal.linalg import conj_transpose, identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
@@ -21,6 +21,7 @@ from strongreal.oracle import (
     _RowCodes,
     _times,
     anti_diagonal,
+    congruence_to_identity,
     enumerate_group,
     HermitianForm,
     is_real_oracle,
@@ -87,16 +88,67 @@ def _reference(F, group):
     return closure, orbits, involutions
 
 
-@pytest.mark.parametrize(
-    "n,q,transported",
-    [(2, 3, False), (3, 2, False), (2, 5, False), (1, 3, False), (3, 2, True)],
-)
-def test_kernel_matches_matrix_reference(n, q, transported):
+def reference_transported_group(n, pp, form):
+    """U(n, F_q) for form as the identity-form group moved through a
+    congruence: x -> r x r^(-1) with r* J r = I, which takes x* x = I to
+    (r x r^(-1))* J (r x r^(-1)) = J."""
+    F = table_for(pp)
+    r = congruence_to_identity(F, form.gram)
+    rinv = mat_inv(F, r)
+    return [mat_mul(F, mat_mul(F, r, x), rinv) for x in enumerate_group(n, pp).elements]
+
+
+# (n, q) for the antidiagonal form N_n
+OTHER_FORMS = [(2, 3), (2, 2), (2, 5), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,q", OTHER_FORMS)
+def test_other_form_matches_transported_reference(n, q):
+    pp = prime_power(q)
+    form = HermitianForm(pp, anti_diagonal(n))
+    group = enumerate_group(n, pp, form)
+    reference = reference_transported_group(n, pp, form)
+    assert group.order == len(reference) == unitary_order(n, q)
+    assert set(group.elements) == set(reference)
+
+
+@pytest.mark.parametrize("fault", ["short", "conjugated"])
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_other_form_closure_checks(n, q, fault, monkeypatch):
+    # the search for N_n itself, one member short or conjugated by a
+    # non-unitary p (right count, wrong form), must not give a group
     pp = prime_power(q)
     F = table_for(pp)
-    form = HermitianForm(pp, anti_diagonal(n)) if transported else None
+    search = oracle._entrywise_members
+    p = embed_block(n, ((1, 1), (0, 1)), 0)
+    pinv = mat_inv(F, p)
+
+    def members(F, n, J):
+        found = search(F, n, J)
+        if J == identity(n):
+            return found
+        if fault == "short":
+            return list(found)[:-1]
+        return (mat_mul(F, mat_mul(F, p, g), pinv) for g in found)
+
+    order = unitary_order(n, q)
+    message = f"found {order - 1} members, expected {order}" if fault == "short" else "unitarity"
+    monkeypatch.setattr(oracle, "_entrywise_members", members)
+    with pytest.raises(GroupClosureError, match=message):
+        enumerate_group(n, pp, HermitianForm(pp, anti_diagonal(n)))
+
+
+@pytest.mark.parametrize(
+    "n,q,antidiagonal",
+    [(2, 3, False), (3, 2, False), (2, 5, False), (1, 3, False)]
+    + [(n, q, True) for n, q in OTHER_FORMS],
+)
+def test_kernel_matches_matrix_reference(n, q, antidiagonal):
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = HermitianForm(pp, anti_diagonal(n)) if antidiagonal else None
     group = enumerate_group(n, pp, form)
-    assert group.strategy.endswith("+transport") == transported
+    assert group.strategy == ("entrywise" if q ** (2 * n * n) <= 10**6 else "closure")
     closure, orbits, involutions = _reference(F, group)
 
     assert set(group.elements) == closure

@@ -21,6 +21,7 @@ from strongreal.errors import (
 from strongreal.fields import PrimePower, prime_power, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
+    DEFAULT_BUDGETS,
     Budgets,
     _block_representative,
     _conjugation_orbits,
@@ -257,11 +258,14 @@ def test_realize_on_standard_forms():
         assert extract_class_datum(g, PP3) == d
 
 
-def test_realize_rejects_empty():
+def test_realize_empty_datum():
+    # the 0 x 0 matrix is the representative of U(0)'s one class, with no
+    # form to scan for, so even a one-candidate budget realizes it
     from strongreal.classdata import ClassDatum
 
-    with pytest.raises(RealizationError):
-        realize_class(ClassDatum(PP3, ()))
+    empty = ClassDatum(PP3, ())
+    assert realize_class(empty) == ()
+    assert realize_class(empty, budgets=Budgets.uniform(1)) == ()
 
 
 def test_explicit_representative_types_and_forms():
@@ -284,6 +288,42 @@ def test_explicit_representative_types_and_forms():
         explicit_representative("three_one", PP3)
     with pytest.raises(ValueError):
         explicit_representative("three_r", PP2, r=2)
+
+
+def reference_three_one_three_two(q):
+    """The (3,1) and (3,2) representatives as literal matrices, with their
+    grams N_3 + I_1 and N_3 + N_2."""
+    F = table_for(q)
+    a = 1
+    aa = F.mul[a][F.conj[a]]
+    b = next(x for x in range(F.size) if F.add[x][F.conj[x]] == aa)
+    ab = F.conj[a]
+    three_one = (
+        (1, a, b, 0),
+        (0, 1, ab, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    )
+    three_two = (
+        (1, a, b, 0, 0),
+        (0, 1, ab, 0, 0),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1),
+        (0, 0, 0, 0, 1),
+    )
+    n3 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    return {
+        "three_one": (three_one, oracle._block_diag(n3, ((1,),))),
+        "three_two": (three_two, oracle._block_diag(n3, ((0, 1), (1, 0)))),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_three_one_three_two_match_literals(q):
+    pp = prime_power(q)
+    for kind, (g, gram) in reference_three_one_three_two(pp).items():
+        got, form = explicit_representative(kind, pp)
+        assert (got, form.gram) == (g, gram)
 
 
 def test_two_one_rejects_negative_m():
@@ -372,6 +412,17 @@ def test_strong_reality_implies_reality_in_reports():
                 assert rec.oracle_real
 
 
+@pytest.mark.parametrize(
+    "n,q,budgets", [(3, 3, DEFAULT_BUDGETS), (2, 4, DEFAULT_BUDGETS), (3, 5, Budgets.uniform(20000))]
+)
+def test_classifier_reality_is_is_real(n, q, budgets):
+    # each record reads the classifier's reality off its verdict's rule
+    from strongreal.classdata import is_real
+
+    records = reconcile(n, q, budgets).records
+    assert [r.classifier_real for r in records] == [is_real(r.datum) for r in records]
+
+
 @pytest.mark.parametrize("n,q,classes", [(1, 3, 4), (2, 3, 16), (2, 2, 9), (1, 5, 6)])
 def test_reconcile_small_groups(n, q, classes):
     report = reconcile(n, q)
@@ -458,9 +509,10 @@ def test_reconcile_default_budgets_decide_u35():
 def test_reality_disagreement_is_reported_not_raised(monkeypatch):
     # the walk's own reality verdict is independent of the classifier: a
     # wrong classifier answer must surface as disagreements in the report
+    from strongreal import classify
     from strongreal.classdata import is_real
 
-    monkeypatch.setattr(oracle, "datum_is_real", lambda d: not is_real(d))
+    monkeypatch.setattr(classify, "is_real", lambda d: not is_real(d))
     report = reconcile(2, 3, Budgets(entry_scan=10, group_order=10))
     assert report.strategy == "representatives"
     assert not report.undecided
