@@ -200,9 +200,6 @@ def t_plus_one(q: PrimePower) -> UIrreducible:
 
 
 def unipotent_datum(q: PrimePower, mu) -> ClassDatum:
-    mu = mu if isinstance(mu, Partition) else partition(mu)
-    if mu.size == 0:
-        return ClassDatum(q, ())
     return class_datum(q, {t_minus_one(q): mu})
 
 
@@ -389,46 +386,43 @@ def enumerate_signed_partitions(weight: int) -> tuple[SignedPartition, ...]:
 class SymplecticClassDatum:
     """Label of a conjugacy class of Sp(2n, F_q), q odd.
 
-    Non t+-1 blocks pair each f with tilde(f) carrying equal partitions;
-    the t-1 and t+1 blocks are symplectic signed partitions.
+    pairs is a real unitary datum away from t+-1 (each f and tilde(f) carry
+    equal partitions); the t-1 and t+1 blocks are symplectic signed
+    partitions.
     """
 
-    q: PrimePower
-    blocks: tuple[tuple[UIrreducible, Partition], ...]
+    pairs: ClassDatum
     signed_plus: SignedPartition
     signed_minus: SignedPartition
 
     def __post_init__(self):
         if self.q.p == 2:
             raise DatumError("symplectic data here require odd q")
-        ones = {t_minus_one(self.q), t_plus_one(self.q)}
-        lookup = dict(self.blocks)
-        for f, mu in self.blocks:
-            if f in ones:
-                raise DatumError("t+-1 belongs in the signed components")
-            if mu.size == 0:
-                raise DatumError("empty partition stored in a block")
-            if lookup.get(tilde(f)) != mu:
-                raise DatumError("blocks must satisfy mu(f) = mu(tilde f)")
+        if {t_minus_one(self.q), t_plus_one(self.q)} & {f for f, _ in self.blocks}:
+            raise DatumError("t+-1 belongs in the signed components")
+        if not is_real(self.pairs):
+            raise DatumError("blocks must satisfy mu(f) = mu(tilde f)")
         if self.n2 % 2:
             raise DatumError("total degree of a symplectic datum must be even")
 
     @property
+    def q(self) -> PrimePower:
+        return self.pairs.q
+
+    @property
+    def blocks(self) -> tuple[tuple[UIrreducible, Partition], ...]:
+        return self.pairs.blocks
+
+    @property
     def n2(self) -> int:
-        return (
-            self.signed_plus.size
-            + self.signed_minus.size
-            + sum(f.degree * mu.size for f, mu in self.blocks)
-        )
+        return self.signed_plus.size + self.signed_minus.size + self.pairs.n
 
     def to_json(self):
+        pairs = self.pairs.to_json()
         return {
-            "q": self.q.to_json(),
+            "q": pairs["q"],
             "n2": self.n2,
-            "blocks": [
-                {"poly": f.poly.to_json(), "partition": list(mu.parts)}
-                for f, mu in self.blocks
-            ],
+            "blocks": pairs["blocks"],
             "t_minus_1": self.signed_plus.to_json(),
             "t_plus_1": self.signed_minus.to_json(),
         }
@@ -440,15 +434,7 @@ def symplectic_datum(
     signed_plus: SignedPartition = EMPTY_SIGNED,
     signed_minus: SignedPartition = EMPTY_SIGNED,
 ) -> SymplecticClassDatum:
-    items = []
-    if blocks:
-        pairs = blocks.items() if isinstance(blocks, dict) else blocks
-        for f, mu in pairs:
-            mu = mu if isinstance(mu, Partition) else partition(mu)
-            if mu.size:
-                items.append((f, mu))
-    items.sort(key=lambda fm: fm[0].sort_key())
-    return SymplecticClassDatum(q, tuple(items), signed_plus, signed_minus)
+    return SymplecticClassDatum(class_datum(q, blocks or {}), signed_plus, signed_minus)
 
 
 def sp_splitting_count(d: SymplecticClassDatum) -> int:
@@ -457,15 +443,7 @@ def sp_splitting_count(d: SymplecticClassDatum) -> int:
 
 
 def sp_datum_from_json(obj) -> SymplecticClassDatum:
-    q = PrimePower(obj["q"]["p"], obj["q"].get("e", 1))
-    ctx = make_context(q, 2)
-    blocks = {}
-    for block in obj.get("blocks", []):
-        base = poly_from_json(ctx, block["poly"])
-        uirr = u_irreducible_lookup(q, base)
-        if uirr is None:
-            raise DatumError(f"base polynomial {base.coeffs} is not U-irreducible")
-        blocks[uirr] = partition(block["partition"])
+    pairs = datum_from_json({"q": obj["q"], "blocks": obj.get("blocks", [])})
 
     def read_signed(key):
         sub = obj.get(key)
@@ -476,6 +454,4 @@ def sp_datum_from_json(obj) -> SymplecticClassDatum:
         }
         return signed_partition(sub["partition"], signs)
 
-    return symplectic_datum(
-        q, blocks, read_signed("t_minus_1"), read_signed("t_plus_1")
-    )
+    return SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))

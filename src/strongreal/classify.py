@@ -116,8 +116,8 @@ def _real2_applies(mu: Partition) -> int:
     return 0
 
 
-def _notstrong2_applies(mu: Partition) -> int:
-    """0 if neither negative condition holds, else 1 or 2 for the case.
+def _notstrong2_applies(mu: Partition):
+    """None if neither negative condition holds, else (rule, witness).
 
     Case 1: the number of odd parts is odd and k - l >= 3, where k is the
     smallest odd part and l the largest even part (0 if none).
@@ -125,17 +125,16 @@ def _notstrong2_applies(mu: Partition) -> int:
     part l of multiplicity one.
     """
     odd_parts = [p for p in mu.parts if p % 2 == 1]
-    even_parts = [p for p in mu.parts if p % 2 == 0]
-    l = max(even_parts) if even_parts else 0
-    if len(odd_parts) % 2 == 1:
-        k = min(odd_parts)
-        if k - l >= 3:
-            return 1
-    if len(odd_parts) == 1 and odd_parts[0] >= 3:
-        k = odd_parts[0]
-        if k - l == 1 and mu.mult(l) == 1:
-            return 2
-    return 0
+    l = max((p for p in mu.parts if p % 2 == 0), default=0)
+    if len(odd_parts) % 2 == 1 and min(odd_parts) - l >= 3:
+        return RULE_NS2_1, {
+            "odd_part_count": len(odd_parts),
+            "smallest_odd": min(odd_parts),
+            "largest_even": l,
+        }
+    if len(odd_parts) == 1 and odd_parts[0] >= 3 and odd_parts[0] - l == 1 and mu.mult(l) == 1:
+        return RULE_NS2_2, {"odd_part": odd_parts[0], "largest_even": l}
+    return None
 
 
 def strongly_real(d: ClassDatum) -> Verdict:
@@ -167,32 +166,14 @@ def strongly_real(d: ClassDatum) -> Verdict:
     branch = _real2_applies(mu)
     if branch:
         return Verdict(STRONGLY_REAL, RULE_REAL2, {"branch": branch})
-    case = _notstrong2_applies(mu)
-    if case == 1:
-        odd = [p for p in mu.parts if p % 2 == 1]
-        evens = [p for p in mu.parts if p % 2 == 0]
-        return Verdict(
-            NOT_STRONGLY_REAL,
-            RULE_NS2_1,
-            {
-                "odd_part_count": len(odd),
-                "smallest_odd": min(odd),
-                "largest_even": max(evens) if evens else 0,
-            },
-        )
-    if case == 2:
-        odd = [p for p in mu.parts if p % 2 == 1][0]
-        return Verdict(
-            NOT_STRONGLY_REAL,
-            RULE_NS2_2,
-            {"odd_part": odd, "largest_even": odd - 1},
-        )
+    found = _notstrong2_applies(mu)
+    if found:
+        return Verdict(NOT_STRONGLY_REAL, *found)
     return Verdict(UNKNOWN)
 
 
 def unipotent_strongly_real(q: PrimePower, mu) -> Verdict:
     """Verdict for the unipotent class of the given type."""
-    mu = mu if isinstance(mu, Partition) else partition(mu)
     return strongly_real(unipotent_datum(q, mu))
 
 

@@ -30,12 +30,13 @@ from .counting import (
     series_T,
 )
 from .errors import BudgetExceededError, EnumerationBoundError, RealizationBudgetError, StrongRealError
-from .fields import make_context, prime_power
+from .fields import prime_power
 from .oracle import (
     DEFAULT_BUDGETS,
     Budgets,
     _block_representative,
     identity_form,
+    matrix_to_json,
     realize_class,
     reconcile,
 )
@@ -74,15 +75,18 @@ def _read_datum(path: str, q, reader):
     return datum
 
 
-def _parse_partition(text: str):
+def _unipotent(q, text: str):
+    """The unipotent class of U(n, F_q) whose type is the comma list text."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        parts = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad partition {text!r}: {exc}") from None
+    return unipotent_datum(q, parts)
 
 
-def _parse_signed_partition(text: str):
-    """Comma list with sign suffixes on even parts, e.g. '4-,2+,1,1'."""
+def _sp_unipotent(q, text: str):
+    """The unipotent class of Sp(2n, F_q) whose type is a comma list with
+    sign suffixes on even parts, e.g. '4-,2+,1,1'."""
     parts = []
     signs = {}
     for tok in text.split(","):
@@ -105,31 +109,25 @@ def _parse_signed_partition(text: str):
         elif sign is not None:
             raise UsageError(f"odd part {part} must not carry a sign")
         parts.append(part)
-    return signed_partition(parts, signs)
+    return symplectic_datum(q, signed_plus=signed_partition(parts, signs))
 
 
 def _cmd_classify(args) -> int:
     q = prime_power(args.q)
-    if args.sp:
-        if q.p == 2:
-            raise UsageError("symplectic classification requires odd q")
-        if args.datum:
-            datum = _read_datum(args.datum, q, sp_datum_from_json)
-        elif args.unipotent:
-            datum = symplectic_datum(
-                q, {}, signed_plus=_parse_signed_partition(args.unipotent)
-            )
-        else:
-            raise UsageError("classify needs --datum or --unipotent")
-        verdict = classify_mod.sp_strongly_real(datum)
+    if args.sp and q.p == 2:
+        raise UsageError("symplectic classification requires odd q")
+    reader, unipotent, verdict_of = (
+        (sp_datum_from_json, _sp_unipotent, classify_mod.sp_strongly_real)
+        if args.sp
+        else (datum_from_json, _unipotent, classify_mod.strongly_real)
+    )
+    if args.datum:
+        datum = _read_datum(args.datum, q, reader)
+    elif args.unipotent:
+        datum = unipotent(q, args.unipotent)
     else:
-        if args.datum:
-            datum = _read_datum(args.datum, q, datum_from_json)
-        elif args.unipotent:
-            datum = unipotent_datum(q, _parse_partition(args.unipotent))
-        else:
-            raise UsageError("classify needs --datum or --unipotent")
-        verdict = classify_mod.strongly_real(datum)
+        raise UsageError("classify needs --datum or --unipotent")
+    verdict = verdict_of(datum)
     if args.format == "plain":
         rule = f" (rule {verdict.rule})" if verdict.rule else ""
         print(f"{verdict.status}{rule}")
@@ -169,17 +167,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
+_SERIES = {"K": series_K, "R": series_R, "T": series_T}
+
+
 def _cmd_series(args) -> int:
     q = prime_power(args.q)
     which = args.which.upper()
-    if which == "K":
-        series = series_K(q, args.order)
-    elif which == "R":
-        series = series_R(q, args.order)
-    elif which == "T":
-        series = series_T(q, args.order)
-    else:
+    if which not in _SERIES:
         raise UsageError("--which must be K, R, or T")
+    series = _SERIES[which](q, args.order)
     if args.format == "plain":
         print(" ".join(str(c) for c in series.coeffs))
     else:
@@ -197,15 +193,7 @@ def _cmd_realize(args) -> int:
     except RealizationBudgetError:
         # one form scan per primary block instead of one over the whole datum
         g = _block_representative(datum, form, budgets, {})
-    ctx = make_context(q, 2)
-    print(
-        _dump(
-            {
-                "matrix": [[list(ctx.to_coords(a)) for a in row] for row in g],
-                "form": form.to_json(),
-            }
-        )
-    )
+    print(_dump({"matrix": matrix_to_json(q, g), "form": form.to_json()}))
     return 0
 
 
@@ -299,16 +287,13 @@ def main(argv=None) -> int:
         # interpreter's flush at exit cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, FileNotFoundError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (BudgetExceededError, EnumerationBoundError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except StrongRealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

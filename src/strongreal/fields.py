@@ -22,21 +22,15 @@ from .errors import EnumerationBoundError, ExtensionTooLargeError, ZeroInputErro
 # Largest extension GF(p^deg) a context accepts, as deg * bit length of p.
 EXTENSION_BIT_CAP = 64
 
+# Every characteristic p stays below this.
+P_CAP = 1 << 16
+
 # Table-based field layers stay tiny; guard against misuse.
 TABLE_SIZE_LIMIT = 4096
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,10 @@ class PrimePower:
     e: int = 1
 
     def __post_init__(self):
+        if self.p >= P_CAP:
+            raise ValueError("p must stay below 2^16")
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
-        if self.p >= 1 << 16:
-            raise ValueError("p must stay below 2^16")
         if self.e < 1:
             raise ValueError("exponent must be positive")
 
@@ -69,9 +63,8 @@ def prime_power(q: int) -> PrimePower:
     """Parse an integer q as p^e; rejects non prime powers."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    p = 2
-    while q % p:
-        p += 1
+    # past P_CAP the cofactor left over is p or fails PrimePower's own cap
+    p = _prime_factors(q, P_CAP)[0]
     e = 0
     m = q
     while m % p == 0:
@@ -150,10 +143,13 @@ def _is_irreducible(p, f) -> bool:
     return True
 
 
-def _prime_factors(n: int):
+def _prime_factors(n: int, below: int | None = None):
+    """Distinct prime factors of n, ascending, by trial division.  With below,
+    trial division stops there and the cofactor left over comes last, prime or
+    not."""
     out = []
     f = 2
-    while f * f <= n:
+    while f * f <= n and (below is None or f < below):
         if n % f == 0:
             out.append(f)
             while n % f == 0:

@@ -75,10 +75,7 @@ def _eliminate(F: GFTable, rows):
 
 
 def mat_rank(F: GFTable, A) -> int:
-    rows = [list(r) for r in A]
-    if not rows:
-        return 0
-    return len(_eliminate(F, rows))
+    return len(_eliminate(F, [list(r) for r in A]))
 
 
 def nullspace(F: GFTable, A):

@@ -93,11 +93,13 @@ class HermitianForm:
         return len(self.gram)
 
     def to_json(self):
-        ctx = make_context(self.q, 2)
-        return {
-            "q": self.q.to_json(),
-            "gram": [[list(ctx.to_coords(a)) for a in row] for row in self.gram],
-        }
+        return {"q": self.q.to_json(), "gram": matrix_to_json(self.q, self.gram)}
+
+
+def matrix_to_json(q: PrimePower, M: Matrix):
+    """M with each GF(q^2) entry written as its list of GF(p) coordinates."""
+    ctx = make_context(q, 2)
+    return [[list(ctx.to_coords(a)) for a in row] for row in M]
 
 
 def identity_form(n: int, q: PrimePower) -> HermitianForm:

@@ -125,8 +125,6 @@ def poly_divmod(u: MonicPoly, f: MonicPoly):
 
 def poly_exact_div(u: MonicPoly, f: MonicPoly) -> MonicPoly | None:
     """u / f when f divides u exactly, else None."""
-    if f.degree > u.degree:
-        return None
     quot, rem = poly_divmod(u, f)
     if rem:
         return None

@@ -238,8 +238,14 @@ def test_symplectic_datum_validation():
     f = next(u for u in enumerate_u_irreducibles(PP3, 1) if tilde(u) != u)
     d = symplectic_datum(PP3, {f: [1], tilde(f): [1]})
     assert d.n2 == 2
+    # the blocks off t+-1 are a real unitary datum
+    assert d.pairs == class_datum(PP3, {f: [1], tilde(f): [1]}) and is_real(d.pairs)
+    assert (d.q, d.blocks) == (PP3, d.pairs.blocks)
+    assert symplectic_datum(PP3, {f: [], tilde(f): []}).pairs == ClassDatum(PP3, ())
     with pytest.raises(DatumError):
         symplectic_datum(PP3, {f: [1]})  # missing the tilde partner
+    with pytest.raises(DatumError):
+        symplectic_datum(PP3, {f: [1], tilde(f): [2]})  # unequal partitions
     with pytest.raises(DatumError):
         symplectic_datum(PP3, {t_minus_one(PP3): [1, 1]})  # belongs in signed part
     with pytest.raises(DatumError):

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import strongreal
+from strongreal.classdata import enumerate_signed_partitions, partitions_of, sp_datum_from_json
 from strongreal.cli import main
 from strongreal.counting import series_R, series_T
 from strongreal.fields import make_context, prime_power, table_for
@@ -140,6 +142,114 @@ def test_classify_sp_usage_errors(capsys):
     assert code == 1 and "suffix" in err
     code, _, err = run(capsys, "classify", "--q", "2", "--sp", "--unipotent", "2+")
     assert code == 1
+
+
+@pytest.mark.parametrize("q", [10**9 + 7, (10**9 + 7) ** 2])
+def test_large_q_is_a_quick_usage_error(capsys, q):
+    # trial division of q stops at 2^16, the cap on p
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--q", str(q), "--unipotent", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+def unipotent_text(sp):
+    """The --sp --unipotent spelling of a signed partition, e.g. '4-,2+,1,1'."""
+    signs = dict(sp.signs)
+    return ",".join(str(p) + ("" if p % 2 else "+-"[signs[p] < 0]) for p in sp.base.parts)
+
+
+# SHA-256 of the stdout of `classify --q Q --unipotent MU --format F` over every
+# partition MU of 1..6 in partitions_of order; the verdicts depend on q only
+# through its parity
+CLASSIFY_SHA256 = {
+    ("json", 0): "09c4612c694bd76606c26ecd9a39ee10d9996cf0de8e010e9dc81176cafbeba5",
+    ("plain", 0): "a56ac65c2f9f0a5601a9701f73be3f7963602b056561a6536188127b8b851ec7",
+    ("json", 1): "3255fddbcd7df289aa57bdae661fcbee0be409f4df43a0da6182f0d0c16f95c9",
+    ("plain", 1): "74490a051467fa28c60333041759531b804efb7ce6c491e44ebe2846bbcad264",
+}
+
+# the same with --sp over every signed partition of weight 1..8 in
+# enumerate_signed_partitions order, for any odd q
+CLASSIFY_SP_SHA256 = {
+    "json": "171a105297e3d3fdebd84034f0740c7339d4064c6d90225121e873f79db4825a",
+    "plain": "e9b82a62cf7c705d97e0578a4264b387d000a8206e2eb9ecf259312f6c8ba68a",
+}
+
+
+def classify_stdout(capsys, *argv):
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, err) == (0, ""), argv
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_classify_unipotent_output_is_pinned(capsys, fmt, q):
+    text = "".join(
+        classify_stdout(capsys, "--q", str(q), "--unipotent", ",".join(map(str, mu)), "--format", fmt)
+        for n in range(1, 7)
+        for mu in partitions_of(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SHA256[fmt, q % 2]
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_classify_sp_unipotent_output_is_pinned(capsys, fmt, q):
+    text = "".join(
+        classify_stdout(capsys, "--q", str(q), "--sp", "--unipotent", unipotent_text(sp), "--format", fmt)
+        for weight in range(1, 9)
+        for sp in enumerate_signed_partitions(weight)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SP_SHA256[fmt]
+
+
+# t - [[0, 1]] and t - [[0, 2]] are a tilde pair of degree-1 U-irreducibles over F_3
+SP_PAIR = [{"partition": [1], "poly": [[0, 1]]}, {"partition": [1], "poly": [[0, 2]]}]
+SP_PAIR_DATUM = {
+    "blocks": SP_PAIR,
+    "n2": 14,
+    "q": {"e": 1, "p": 3},
+    "t_minus_1": {"partition": [2, 1, 1], "signs": {"2": "-"}},
+    "t_plus_1": {"partition": [4, 4], "signs": {"4": "+"}},
+}
+
+
+@pytest.mark.parametrize(
+    "content,code,json_out,plain_out,err",
+    [
+        (
+            SP_PAIR_DATUM, 0,
+            {"rule": "SpCor", "status": "NotStronglyReal",
+             "witness": {"even_part": 2, "multiplicity": 1, "poly": "t-1"}},
+            "NotStronglyReal (rule SpCor)\n", "",
+        ),
+        ({"blocks": SP_PAIR, "q": {"e": 1, "p": 3}}, 0,
+         {"rule": None, "status": "Unknown", "witness": None}, "Unknown\n", ""),
+        ({"blocks": SP_PAIR[:1], "q": {"e": 1, "p": 3}}, 1, None, "",
+         "error: blocks must satisfy mu(f) = mu(tilde f)\n"),
+        ({"blocks": [SP_PAIR[0], {"partition": [2], "poly": [[0, 2]]}], "q": {"e": 1, "p": 3}}, 1,
+         None, "", "error: blocks must satisfy mu(f) = mu(tilde f)\n"),
+    ],
+    ids=["pair-and-signed", "pair-only", "unpaired", "unequal-partitions"],
+)
+def test_classify_sp_datum_with_blocks_off_plus_minus_one(
+    tmp_path, capsys, content, code, json_out, plain_out, err
+):
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(content))
+    got = run(capsys, "classify", "--q", "3", "--sp", "--datum", str(path))
+    assert (got[0], got[2]) == (code, err)
+    assert (json.loads(got[1]) if got[1] else None) == json_out
+    assert run(capsys, "classify", "--q", "3", "--sp", "--datum", str(path), "--format", "plain") == (
+        code, plain_out, err
+    )
+
+
+def test_sp_datum_with_blocks_round_trips():
+    assert sp_datum_from_json(SP_PAIR_DATUM).to_json() == SP_PAIR_DATUM
 
 
 def test_count_table(capsys):

@@ -60,6 +60,46 @@ def test_prime_power_validation():
         prime_power(12)
 
 
+def brute_factorization(n):
+    """{prime: exponent} of n >= 2, dividing by every d from 2 up."""
+    out = {}
+    d = 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+def test_prime_power_matches_brute_factoring():
+    for q in range(-2, 5000):
+        factors = brute_factorization(q) if q >= 2 else {}
+        if len(factors) == 1:
+            ((p, e),) = factors.items()
+            assert prime_power(q) == PrimePower(p, e), q
+        else:
+            with pytest.raises(ValueError):
+                prime_power(q)
+
+
+@pytest.mark.parametrize(
+    "q", [65537, 65537**2, 3 * 65537, 65537 * 65539, 10**9 + 7, (10**9 + 7) ** 2, 2 * (10**9 + 7)]
+)
+def test_prime_power_rejects_large_primes_at_the_cap(q):
+    # trial division stops at 2^16, the cap on p, so these return at once
+    with pytest.raises(ValueError, match=r"2\^16|not a prime power"):
+        prime_power(q)
+
+
+def test_prime_power_above_the_cap_is_rejected_before_the_primality_test():
+    # is_prime((10^9 + 7)^2) would divide by every d up to 10^9 + 7
+    with pytest.raises(ValueError, match=r"p must stay below 2\^16"):
+        PrimePower((10**9 + 7) ** 2)
+    assert prime_power(3**40) == PrimePower(3, 40)
+    assert prime_power(65521**2) == PrimePower(65521, 2)
+
+
 def test_gf3_prime_field_modulus():
     ctx = make_context(PP3, 1)
     assert ctx.modulus == (0, 1)  # the polynomial t
