@@ -454,4 +454,8 @@ def sp_datum_from_json(obj) -> SymplecticClassDatum:
         }
         return signed_partition(sub["partition"], signs)
 
-    return SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))
+    datum = SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))
+    expected = obj.get("n2")
+    if expected is not None and datum.n2 != expected:
+        raise DatumError(f"degree mismatch: datum has n2={datum.n2}, expected {expected}")
+    return datum

@@ -67,6 +67,12 @@ def _read_datum(path: str, q, reader):
     with open(path) as fh:
         obj = json.load(fh)
     try:
+        signed = isinstance(obj, dict) and {"t_minus_1", "t_plus_1"} & obj.keys()
+        if reader is datum_from_json and signed:
+            raise UsageError(
+                "malformed datum file: t_minus_1/t_plus_1 belong to a symplectic datum "
+                "(classify --sp)"
+            )
         datum = reader(obj)
     except (KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed datum file: {exc!r}") from None

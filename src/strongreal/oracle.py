@@ -779,24 +779,34 @@ def reversing_space(F: GFTable, g: Matrix):
     return [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)) for vec in kernel]
 
 
-def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
+def _unitary_members(
+    F: GFTable, basis, J: Matrix, budget: int, coeffs=None, involutions: bool = False
+):
     """Members h of the GF(q^2)-span of basis with h* J h = J, lazily.
 
     The basis is put in reduced echelon form over the entries in
     column-major order, so column j of h involves only the vectors pivoting
     in columns <= j, each with h's entry at its pivot as coefficient.
-    Columns are chosen left to right.  The pairings u_i* J x = J[i][j] with
-    the chosen columns u_i are linear in column x, so one elimination gives
-    the affine set of candidates.  The free coefficients of a column run
-    through coeffs, counter order over every field element (0 first)
-    unless given.  The last norm condition x* J x = J[j][j] is solved for
-    the fastest-changing coefficient c: with x = r + c v, where _span
-    walks r over the other directions, it reads
-    Tr(c r* J v) + N(c) v* J v = J[j][j] - r* J r, so each r costs two
-    pairings and only the solving c build a column.  A search node is one
-    candidate, solving or not, in the order of the walk; past budget nodes
-    the search raises BudgetExceededError at the same candidate as a test
-    of every candidate would.
+    Columns are chosen left to right, each from a plan made once per call.
+    The pairings u_i* J x = J[i][j] with the chosen columns u_i are linear
+    in column x, so one elimination gives the affine set of candidates.
+    The free coefficients of a column run through coeffs, counter order
+    over every field element (0 first) unless given.  The last norm
+    condition x* J x = J[j][j] is solved for the fastest-changing
+    coefficient c: with x = r + c v, where _span walks r over the other
+    directions, it reads Tr(c r* J v) + N(c) v* J v = J[j][j] - r* J r, so
+    each r costs two pairings and only the solving c build a column.  A
+    search node is one candidate, solving or not, in the order of the walk;
+    past budget nodes the search raises BudgetExceededError at the same
+    candidate as a test of every candidate would.
+
+    With involutions, only the members with J h Hermitian, which for a
+    unitary h are exactly the involutions (h^(-1) = J^(-1) h* J).  Column j
+    then also meets (J x)[i] = conj((J u_i)[j]) for i < j, more linear rows
+    of the same system, and (J x)[j] in GF(q).  For (J v)[j] != 0 that
+    confines c to a GF(q)-line, so each r has q candidates (nodes) instead
+    of q^2.  For (J v)[j] = 0 it does not involve c: an r with (J r)[j]
+    outside GF(q) is one node, and any other r keeps all its candidates.
 
     Every member's columns lie in the span of the columns of the basis
     matrices.  When that span is smaller than F^n no member is invertible,
@@ -805,14 +815,26 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
     n = len(J)
     if mat_rank(F, [col for B in basis for col in zip(*B)]) < n:
         return
+    if n == 0:  # the 0 x 0 matrix, which has no last column to yield at
+        yield ()
+        return
     if coeffs is None:
         coeffs = range(F.size)
-    add, mul, conj = F.add, F.mul, F.conj
+    add, mul, conj, sub = F.add, F.mul, F.conj, F.sub
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
+    # column j: the pivots before it with the slices at j of their vectors
+    # (which come first in echelon order), then the slices pivoting at j
+    plan = []
+    for j in range(n):
+        part = [v[j * n : j * n + n] for v in vecs]
+        k = sum(c < j for c, _ in pivots)
+        plan.append((pivots[:k], part[:k], part[k : k + sum(c == j for c, _ in pivots)]))
     nodes = 0
     dot = _hermitian_dot(F, J)
+    units = identity(n)  # dot(units[i], x) = (J x)[i]
     solved = {}
+    lines = {}
 
     def solutions(w, b):
         """(index, c) in coeffs order, by the value of Tr(c b) + N(c) w."""
@@ -823,6 +845,14 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
                 value = add[add[cb][conj[cb]]][mul[mul[c][conj[c]]][w]]
                 by_value.setdefault(value, []).append((i, c))
         return solved[w, b]
+
+    def line(alpha, beta):
+        """c -> its place in coeffs order among the q with alpha + c beta in GF(q)."""
+        if (alpha, beta) not in lines:
+            ib = F.inv[beta]
+            on = {mul[sub(t, alpha)][ib] for t in F.base_elems}
+            lines[alpha, beta] = {c: k for k, c in enumerate(c for c in coeffs if c in on)}
+        return lines[alpha, beta]
 
     def count(k):
         nonlocal nodes
@@ -838,39 +868,63 @@ def _unitary_members(F: GFTable, basis, J: Matrix, budget: int, coeffs=None):
 
     def walk(cols):
         j = len(cols)
-        if j == n:
-            yield tuple(zip(*cols))
-            return
-        part = [v[j * n : j * n + n] for v in vecs]
-        # the vectors pivoting before column j come first in part
-        a = combine([cols[c][r] for c, r in pivots if c < j], part, [0] * n)
-        heads = [h for h, (c, _) in zip(part, pivots) if c == j]
+        before, slices, heads = plan[j]
+        a = combine([cols[c][r] for c, r in before], slices, [0] * n)
         # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
         system = [
-            [dot(u, h) for h in heads] + [F.sub(dot(u, a), J[i][j])]
+            [dot(u, h) for h in heads] + [sub(dot(u, a), J[i][j])]
             for i, u in enumerate(cols)
         ]
+        if involutions:
+            e = units[j]
+            system += [
+                [dot(units[i], h) for h in heads] + [sub(dot(units[i], a), conj[dot(e, u)])]
+                for i, u in enumerate(cols)
+            ]
         kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
         start = next((v for v in kernel if v[-1]), None)
         if start is None:
             return
         x = combine(start, heads, a)
         directions = [combine(v, heads, [0] * n) for v in kernel if not v[-1]]
+        last = j == n - 1
         if not directions:
             count(1)
-            if dot(x, x) == J[j][j]:
-                yield from walk(cols + [x])
+            diagonal = dot(units[j], x)
+            if dot(x, x) == J[j][j] and (not involutions or conj[diagonal] == diagonal):
+                if last:
+                    yield tuple(zip(*cols, x))
+                else:
+                    yield from walk(cols + [x])
             return
         v = directions[0]
         w = dot(v, v)
+        beta = dot(units[j], v) if involutions else 0
+        size = len(F.base_elems) if beta else len(coeffs)
+        places = None
         for r in _span(F, [(d,) for d in directions[1:]], coeffs, x):
+            if involutions:
+                alpha = dot(units[j], r)
+                if beta:
+                    places = line(alpha, beta)
+                elif conj[alpha] != alpha:
+                    count(1)
+                    continue
             done = 0
-            for i, c in solutions(w, dot(r, v)).get(F.sub(J[j][j], dot(r, r)), ()):
+            for i, c in solutions(w, dot(r, v)).get(sub(J[j][j], dot(r, r)), ()):
+                if places is not None:
+                    i = places.get(c)
+                    if i is None:
+                        continue
                 # the candidates done .. i - 1 of this block fail the norm
                 count(i + 1 - done)
                 done = i + 1
-                yield from walk(cols + [[add[ri][mul[c][vi]] for ri, vi in zip(r, v)]])
-            count(len(coeffs) - done)
+                col = [add[ri][mul[c][vi]] for ri, vi in zip(r, v)]
+                if last:
+                    yield tuple(zip(*cols, col))
+                else:
+                    yield from walk(cols + [col])
+            count(size - done)
 
     yield from walk([])
 
@@ -920,8 +974,13 @@ def strong_reality_witnesses(
     group: GroupEnumeration | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ):
-    """Every unitary involution s with s g s = g^(-1), sorted."""
-    return sorted(_reversers(g, form, group, budgets, involution=True))
+    """Every unitary involution s with s g s = g^(-1), sorted; without a
+    group, the walk over the reversers with J s Hermitian finds them."""
+    if group is not None:
+        return sorted(group.reversers(g, involution=True))
+    F = table_for(form.q)
+    space = reversing_space(F, g)
+    return sorted(_unitary_members(F, space, form.gram, budgets.reversing_scan, involutions=True))
 
 
 def is_strongly_real_oracle(
@@ -1060,22 +1119,33 @@ def _conjugation_orbits(group: GroupEnumeration) -> list:
 
 def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, budgets: Budgets):
     """(real, strongly real) from one walk over the unitary reversers of g,
-    a representative of datum; None wherever the budget ran out.
+    a representative of datum; None wherever a budget ran out.
 
     A walk that ends without an involution has seen every unitary reverser,
     a coset of the centralizer if it found any; that count is checked
     against Wall's |C(g)|.  Whether it found any is the oracle's own reality
-    verdict, which reconcile compares with the classifier.
+    verdict, which reconcile compares with the classifier.  A walk that runs
+    out of budget hands strong reality to the walk over the involutive
+    reversers alone, on a budget of its own: an involution found there is
+    also a reverser, and a drained walk without one rules strong reality out.
     """
     F = table_for(form.q)
+    space = reversing_space(F, g)
     leaves = 0
     try:
-        for h in _reversers(g, form, None, budgets, involution=False):
+        for h in _unitary_members(F, space, form.gram, budgets.reversing_scan):
             if _is_involution(F, h):
                 return True, True
             leaves += 1
     except BudgetExceededError:
-        return (True if leaves else None), None
+        involutions = _unitary_members(
+            F, space, form.gram, budgets.reversing_scan, involutions=True
+        )
+        try:
+            strong = next(involutions, None) is not None
+        except BudgetExceededError:
+            strong = None
+        return (True if leaves or strong else None), strong
     if leaves and leaves != centralizer_order(datum):
         raise CountMismatchError(
             f"{leaves} unitary reversers of {datum}, expected {centralizer_order(datum)}"

@@ -252,6 +252,36 @@ def test_sp_datum_with_blocks_round_trips():
     assert sp_datum_from_json(SP_PAIR_DATUM).to_json() == SP_PAIR_DATUM
 
 
+def test_sp_datum_file_with_a_wrong_n2_is_a_degree_mismatch(tmp_path, capsys):
+    # n2 is checked as the unitary reader checks n, instead of being ignored
+    path = tmp_path / "sp.json"
+    content = {"q": {"p": 3, "e": 1}, "t_minus_1": {"partition": [1, 1]}, "n2": 7}
+    path.write_text(json.dumps(content))
+    argv = ("classify", "--q", "3", "--sp", "--datum", str(path))
+    assert run(capsys, *argv) == (1, "", "error: degree mismatch: datum has n2=2, expected 7\n")
+    path.write_text(json.dumps(dict(content, n2=2)))
+    code, out, _ = run(capsys, *argv, "--format", "plain")
+    assert (code, out) == (0, "Unknown\n")
+
+
+def test_unitary_datum_file_with_signed_components_is_refused(tmp_path, capsys):
+    # a file with t_minus_1 or t_plus_1 is symplectic: without --sp it is a
+    # usage error, not the U(2) class of its blocks with the rest dropped
+    path = tmp_path / "sp.json"
+    message = (
+        "usage error: malformed datum file: t_minus_1/t_plus_1 belong to a symplectic "
+        "datum (classify --sp)\n"
+    )
+    for key in ("t_minus_1", "t_plus_1"):
+        content = {"q": {"p": 3, "e": 1}, "blocks": SP_PAIR, key: {"partition": [1]}}
+        path.write_text(json.dumps(content))
+        for verb in ("classify", "realize"):
+            assert run(capsys, verb, "--q", "3", "--datum", str(path)) == (1, "", message)
+    path.write_text(json.dumps({"q": {"p": 3, "e": 1}, "blocks": SP_PAIR}))
+    code, out, _ = run(capsys, "classify", "--q", "3", "--datum", str(path), "--format", "plain")
+    assert (code, out) == (0, "StronglyReal (rule MainThm)\n")
+
+
 def test_count_table(capsys):
     code, out, _ = run(capsys, "count", "--q", "3", "--n-max", "3")
     assert code == 0

@@ -1,0 +1,290 @@
+"""The Hermitian mode of the unitary-member walk: only the reversers h with
+J h Hermitian, which for a unitary h are exactly the involutions.  Checked
+against the involutions among the full walk's leaves, against a plain scan
+of the GF(q)-space of Hermitian reversers, against Wall's class equation
+where neither can run, and through reconcile, where it decides strong
+reality once the full walk has run out of budget."""
+
+import itertools
+
+import pytest
+
+from strongreal.classdata import centralizer_order, class_datum, is_real, partition, unitary_order
+from strongreal.classify import UNKNOWN, strongly_real
+from strongreal.counting import enumerate_class_data
+from strongreal.errors import BudgetExceededError
+from strongreal.fields import PrimePower, make_context, prime_power, table_for
+from strongreal.linalg import conj_transpose, is_unitary, mat_inv, mat_mul, nullspace
+from strongreal.oracle import (
+    Budgets,
+    _block_representative,
+    _is_involution,
+    _representative_verdicts,
+    _unitary_members,
+    identity_form,
+    is_strongly_real_oracle,
+    realize_class,
+    reconcile,
+    reversing_space,
+    standard_forms,
+    strong_reality_witnesses,
+)
+from strongreal.upoly import monic_poly, u_irreducible_lookup
+
+
+def reference_hermitian_reversers(pp: PrimePower, basis, J):
+    """The unitary members of the GF(q)-space {h in span(basis) : J h
+    Hermitian}, by a plain scan with is_unitary per candidate.
+
+    The space is the kernel over GF(p) of h -> J h - (J h)* on the GF(p)-
+    spanning set p^t B_k (p^t is the t-th GF(p)-coordinate unit of
+    GF(q^2)); Galois descent makes its GF(q)-dimension that of the
+    reversing space, so it has q^m members."""
+    F = table_for(pp)
+    ctx2 = F.ctx
+    add, mul, neg = F.add, F.mul, F.neg
+    coords = [ctx2.to_coords(a) for a in range(F.size)]
+    spanning = [
+        tuple(tuple(mul[pp.p**t][x] for x in row) for row in B)
+        for B in basis
+        for t in range(ctx2.deg)
+    ]
+    cols = []
+    for h in spanning:
+        jh = mat_mul(F, J, h)
+        adj = conj_transpose(F, jh)
+        diff = [add[a][neg[b]] for ra, rb in zip(jh, adj) for a, b in zip(ra, rb)]
+        cols.append([c for x in diff for c in coords[x]])
+    kernel = nullspace(table_for(PrimePower(pp.p, 1), 1), list(zip(*cols))) if cols else []
+    assert len(kernel) * 2 == len(spanning)  # GF(p)-dimension m e of a GF(q)-space of dimension m
+    n = len(J)
+
+    def combine(cs, vectors):
+        flat = [0] * (n * n)
+        for c, v in zip(cs, vectors):
+            if c:
+                flat = [add[a][mul[c][b]] for a, b in zip(flat, v)]
+        return flat
+
+    flats = [[x for row in h for x in row] for h in spanning]
+    hermitian = [combine(vec, flats) for vec in kernel]
+    out = []
+    for digits in itertools.product(range(pp.p), repeat=len(hermitian)):
+        h = tuple(zip(*[iter(combine(digits, hermitian))] * n))
+        if is_unitary(F, h, J):
+            out.append(h)
+    return out
+
+
+def involution_count(n, pp):
+    """Unitary involutions of U(n, F_q) by the class equation: the sum of
+    |U| / |C(d)| over the classes whose minimal polynomial divides t^2 - 1."""
+    ctx2 = make_context(pp, 2)
+    signs = {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, ctx2.neg(1))}
+    top = 2 if pp.p == 2 else 1
+    return sum(
+        unitary_order(n, pp.q) // centralizer_order(d)
+        for d in enumerate_class_data(n, pp, max_n=n, max_q=pp.q)
+        if all(f in signs and max(mu.parts) <= top for f, mu in d.blocks)
+    )
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)])
+def test_hermitian_leaves_are_the_involutions(q, n):
+    # every real class of U(n, F_q) on every standard form.  The Hermitian
+    # leaves are distinct unitary involutions that reverse g, the same set
+    # as the involutions among the full walk's drained leaves and as the
+    # plain GF(q)-span scan, wherever those fit (|C(g)| <= 10^5 leaves,
+    # q^m <= 10^4 candidates); the scalar classes of U(3, F_4) and
+    # U(3, F_5), whose reversing space is all of M_3, are checked against
+    # the number of involutions of the group by the class equation instead
+    pp = prime_power(q)
+    F = table_for(pp)
+    by_walk = by_scan = by_count = 0
+    for form in standard_forms(n, pp):
+        for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
+            if not is_real(d):
+                continue
+            g = realize_class(d, form)
+            basis = reversing_space(F, g)
+            herm = list(_unitary_members(F, basis, form.gram, 10**7, involutions=True))
+            assert len(herm) == len(set(herm))
+            ginv = mat_inv(F, g)
+            for h in herm:
+                assert is_unitary(F, h, form.gram) and _is_involution(F, h)
+                assert mat_mul(F, h, g) == mat_mul(F, ginv, h)
+            fits = False
+            if centralizer_order(d) <= 10**5:
+                full = list(_unitary_members(F, basis, form.gram, 10**7))
+                assert set(herm) == {h for h in full if _is_involution(F, h)}
+                by_walk += 1
+                fits = True
+            if q ** len(basis) <= 10**4:
+                assert set(herm) == set(reference_hermitian_reversers(pp, basis, form.gram))
+                by_scan += 1
+                fits = True
+            if not fits:
+                assert len(basis) == n * n
+                assert len(herm) == involution_count(n, pp)
+                by_count += 1
+    assert by_walk and by_scan
+    # the real scalar classes, I and (for odd q) -I, on each of the 3 forms
+    assert by_count == ({4: 3, 5: 6}.get(q, 0) if n == 3 else 0)
+
+
+def test_hermitian_walk_drains_the_four_exhausted_classes():
+    # (2,1,1) in U(4, F_3) and (2,1) in U(3, F_5), at t - 1 and t + 1: the
+    # full walk has 93,312 and 4,500 unitary reversers, the Hermitian walk
+    # drains in 2,187 and 3,125 nodes without an involution
+    for q, parts, nodes in ((3, [2, 1, 1], 2187), (5, [2, 1], 3125)):
+        pp = prime_power(q)
+        F = table_for(pp)
+        ctx2 = make_context(pp, 2)
+        form = identity_form(sum(parts), pp)
+        for c in (1, ctx2.neg(1)):
+            f = u_irreducible_lookup(pp, monic_poly(ctx2, (c,)))
+            g = realize_class(class_datum(pp, {f: partition(parts)}), form)
+            basis = reversing_space(F, g)
+            assert list(_unitary_members(F, basis, form.gram, nodes, involutions=True)) == []
+            with pytest.raises(BudgetExceededError):
+                list(_unitary_members(F, basis, form.gram, nodes - 1, involutions=True))
+            assert strong_reality_witnesses(g, form, budgets=Budgets(reversing_scan=nodes)) == []
+
+
+class NodeClock:
+    """A budget that never runs out and keeps the node count (a search
+    evaluates `nodes > budget` as `budget < nodes`)."""
+
+    nodes = 0
+
+    def __lt__(self, nodes):
+        self.nodes = nodes
+        return False
+
+
+def test_node_count_where_the_line_condition_skips_c():
+    # -I in U(2, F_3) for J = [[0, 1], [1, 0]], where (J x)[0] = x[1]:
+    # column 0 is c e_0 + c1 e_1 with v = e_0, so (J v)[0] = 0.  The 6 values
+    # of c1 outside GF(3) are one node each; each of the other 3 keeps all 9
+    # c (33 nodes), of which 9 + 3 + 3 meet the norm Tr(conj(c) c1) = 0.
+    # Column 1 then costs 3 nodes (a GF(3)-line) for each of c = +-1 at
+    # c1 = 0 and 1 node for each of the 6 columns with c1 = +-1: 45 nodes,
+    # and the 8 leaves are the involutions of U(2, F_3) (I, -I and 96 / 16)
+    pp = prime_power(3)
+    F = table_for(pp)
+    form = standard_forms(2, pp)[1]
+    assert form.gram == ((0, 1), (1, 0))
+    minus_one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (1,)))
+    g = realize_class(class_datum(pp, {minus_one: partition([1, 1])}), form)
+    basis = reversing_space(F, g)
+    clock = NodeClock()
+    found = list(_unitary_members(F, basis, form.gram, clock, involutions=True))
+    assert (len(found), clock.nodes) == (8, 45) and len(found) == involution_count(2, pp)
+    assert len(list(_unitary_members(F, basis, form.gram, 45, involutions=True))) == 8
+    with pytest.raises(BudgetExceededError):
+        list(_unitary_members(F, basis, form.gram, 44, involutions=True))
+
+
+def test_witnesses_use_the_hermitian_walk():
+    # strong_reality_witnesses without a group drains the Hermitian walk:
+    # (2,1) in U(3, F_5) within 3,125 nodes, where the full walk (35,125
+    # nodes), which is_strongly_real_oracle runs, raises instead
+    pp = prime_power(5)
+    one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (4,)))
+    form = identity_form(3, pp)
+    g = realize_class(class_datum(pp, {one: partition([2, 1])}), form)
+    small = Budgets(reversing_scan=3125)
+    assert strong_reality_witnesses(g, form, budgets=small) == []
+    with pytest.raises(BudgetExceededError):
+        is_strongly_real_oracle(g, form, budgets=small)
+
+
+def test_exhaustion_is_recorded_not_guessed_u35():
+    # at reversing_scan = 1000 the Hermitian walk cannot drain (2,1) at
+    # t - 1 and t + 1 either, so strong reality stays undecided; the
+    # non-real classes whose full walk runs out become (None, False): no
+    # involution reverses them, but reality is not known from the walk
+    budgets = Budgets(entry_scan=10, group_order=10, reversing_scan=1000, realize_scan=200000)
+    report = reconcile(3, 5, budgets)
+    assert report.strategy == "representatives"
+    assert not report.disagreements
+    pp = prime_power(5)
+    ctx2 = make_context(pp, 2)
+    plus_minus_one = {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, 4)}
+    verdicts = {(r.oracle_real, r.oracle_strongly_real) for r in report.undecided}
+    assert verdicts == {(True, None), (None, False)}
+    open_strong = [r for r in report.undecided if r.oracle_strongly_real is None]
+    assert sorted(mu.parts for r in open_strong for _, mu in r.datum.blocks) == [(2, 1)] * 2
+    assert {r.datum.blocks[0][0] for r in open_strong} == plus_minus_one
+    open_real = [r for r in report.undecided if r.oracle_real is None]
+    assert len(open_real) == 4
+    assert not any(r.classifier_real for r in open_real)
+
+
+def unipotent_at_one(parts):
+    return {"poly": [[1, 0]], "partition": parts}
+
+
+# The real classes of U(n, F_2), n <= 8, that the classifier leaves Unknown:
+# n, blocks as `list` prints them, reversing-space dimension m, and the
+# unitary involutions that reverse the block-sum representative.  t + w and
+# t + w^2 ([[0, 1]], [[1, 1]]) are the degree-1 U-irreducibles other than
+# t + 1, w a primitive cube root of unity in GF(4).
+UNKNOWN_F2 = [
+    (6, [unipotent_at_one([5, 1])], 8, 0),
+    (7, [unipotent_at_one([5, 1, 1])], 13, 0),
+    (7, [unipotent_at_one([4, 3])], 13, 0),
+    (7, [unipotent_at_one([3, 2, 2])], 19, 0),
+    (
+        8,
+        [
+            unipotent_at_one([5, 1]),
+            {"poly": [[0, 1]], "partition": [1]},
+            {"poly": [[1, 1]], "partition": [1]},
+        ],
+        10,
+        0,
+    ),
+    (8, [unipotent_at_one([7, 1])], 10, 0),
+    (8, [unipotent_at_one([5, 3])], 14, 192),
+    (8, [unipotent_at_one([5, 2, 1])], 16, 0),
+    (8, [unipotent_at_one([5, 1, 1, 1])], 20, 0),
+]
+
+
+def test_unknown_classes_of_u_n_f2_decided_by_search():
+    # the nine are exactly the real Unknown classes for n <= 8, and the
+    # Hermitian walk decides each: only (5,3) is strongly real, with 192
+    # involutions (the same count as an independent earlier search)
+    pp = prime_power(2)
+    F = table_for(pp)
+    unknown = [
+        d
+        for n in range(1, 9)
+        for d in enumerate_class_data(n, pp, max_n=8, max_q=2)
+        if is_real(d) and strongly_real(d).status == UNKNOWN
+    ]
+    assert [(d.n, d.to_json()["blocks"]) for d in unknown] == [row[:2] for row in UNKNOWN_F2]
+    blocks = {}
+    for d, (n, _, m, involutions) in zip(unknown, UNKNOWN_F2):
+        form = identity_form(n, pp)
+        g = _block_representative(d, form, Budgets(), blocks)
+        basis = reversing_space(F, g)
+        assert len(basis) == m
+        found = list(_unitary_members(F, basis, form.gram, 10**6, involutions=True))
+        assert len(found) == len(set(found)) == involutions
+        assert all(_is_involution(F, h) and is_unitary(F, h, form.gram) for h in found)
+        # reconcile's verdicts: real from the full walk, strong reality from
+        # it or, once it runs out, from the Hermitian walk
+        verdicts = _representative_verdicts(g, d, form, Budgets.uniform(20000))
+        assert verdicts == (True, involutions > 0)
+
+
+def test_empty_matrix_is_the_one_member_of_m0():
+    # n = 0: the 0 x 0 matrix is unitary and an involution, in both modes,
+    # so verify --n 0 still builds U(0, F_q) and decides its one class
+    F = table_for(prime_power(3))
+    for involutions in (False, True):
+        assert list(_unitary_members(F, [], (), 10, involutions=involutions)) == [()]
+    report = reconcile(0, 3)
+    assert [(r.oracle_real, r.oracle_strongly_real) for r in report.records] == [(True, True)]

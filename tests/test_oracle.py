@@ -18,7 +18,7 @@ from strongreal.errors import (
     RealizationBudgetError,
     RealizationError,
 )
-from strongreal.fields import PrimePower, prime_power, table_for
+from strongreal.fields import PrimePower, make_context, prime_power, table_for
 from strongreal.linalg import identity, is_unitary, mat_inv, mat_mul
 from strongreal.oracle import (
     DEFAULT_BUDGETS,
@@ -44,6 +44,7 @@ from strongreal.oracle import (
     strong_reality_witnesses,
     unitary_order,
 )
+from strongreal.upoly import monic_poly, u_irreducible_lookup
 
 PP2 = PrimePower(2)
 PP3 = PrimePower(3)
@@ -481,9 +482,13 @@ def test_spot_checks_beyond_group_scale():
 
 
 def test_reconcile_representative_path_u35():
-    # group materialization is blocked, forcing realize + reversing scans;
-    # classes whose scans fit the capped budget must all agree, the rest
-    # are recorded as undecided rather than guessed
+    # group materialization is blocked, forcing realize + reversing scans.
+    # At reversing_scan = 20000 the full walk runs out only on (2,1) at
+    # t - 1 and t + 1 (4,500 unitary reversers, no involution among the
+    # first ones); the walk over the Hermitian reversers drains there in
+    # 3,125 nodes, so every class is decided: real, not strongly real.
+    # Running out at a smaller budget is tests/test_hermitian_walk.py's
+    # test_exhaustion_is_recorded_not_guessed_u35
     budgets = Budgets(
         entry_scan=10, group_order=10, reversing_scan=20000, realize_scan=200000
     )
@@ -491,9 +496,15 @@ def test_reconcile_representative_path_u35():
     assert report.strategy == "representatives"
     assert len(report.records) == 192
     assert not report.disagreements
-    decided = [r for r in report.records if not r.undecided]
-    assert len(decided) > 150
-    assert report.undecided  # the big commutants are honestly out of budget
+    assert not report.undecided
+    ctx2 = make_context(PP5, 2)
+    plus_minus_one = {u_irreducible_lookup(PP5, monic_poly(ctx2, (c,))) for c in (1, 4)}
+    two_one = [
+        (r.oracle_real, r.oracle_strongly_real)
+        for r in report.records
+        if [(f in plus_minus_one, mu.parts) for f, mu in r.datum.blocks] == [(True, (2, 1))]
+    ]
+    assert two_one == [(True, False)] * 2
 
 
 def test_reconcile_default_budgets_decide_u35():

@@ -546,9 +546,10 @@ def test_reconcile_u43_budget_20000():
     # and no search could finish in budget, but its columns span only 3
     # dimensions, so the walk ends at zero nodes.  The 4 scalar classes,
     # whose first invertible form over the whole datum comes at candidate
-    # 20,412, are decided through block sums of 1 x 1 blocks.  Left
-    # undecided: (2,1,1) at t - 1 and t + 1, real (no involution among
-    # 93,312 unitary reversers, more nodes than the budget)
+    # 20,412, are decided through block sums of 1 x 1 blocks.  (2,1,1) at
+    # t - 1 and t + 1 have 93,312 unitary reversers, more than the budget,
+    # and no involution among the first ones; the walk over the Hermitian
+    # reversers drains in 2,187 nodes without one: real, not strongly real
     pp = prime_power(3)
     ctx2 = make_context(pp, 2)
     plus_minus_one = {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, 2)}
@@ -572,7 +573,9 @@ def test_reconcile_u43_budget_20000():
     assert sorted(at_one) == [False, False, True, True]
     for r, real in zip(scalar, at_one):
         assert verdicts(r) == ((True, True) if real else (False, False))
-    undecided = report.undecided
-    assert [shape(r) for r in undecided] == [[(2, 1, 1)]] * 2
-    assert {r.datum.blocks[0][0] for r in undecided} == plus_minus_one
-    assert all(r.oracle_real is True for r in undecided)
+    assert not report.undecided
+    once_open = [
+        r for r in report.records
+        if shape(r) == [(2, 1, 1)] and r.datum.blocks[0][0] in plus_minus_one
+    ]
+    assert [verdicts(r) for r in once_open] == [(True, False)] * 2
