@@ -55,6 +55,12 @@ class Verdict:
     def decided(self) -> bool:
         return self.status != UNKNOWN
 
+    @property
+    def real(self) -> bool:
+        """Reality of the class, for a verdict of strongly_real, which cites
+        the reality rule exactly when the class is not real."""
+        return self.rule != RULE_REALITY
+
     def to_json(self):
         return {"status": self.status, "rule": self.rule, "witness": self.witness_hint}
 

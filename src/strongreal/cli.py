@@ -267,13 +267,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("realize", help="matrix representative of a datum")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--datum", required=True, help="JSON datum file")
-    p.add_argument("--budget", type=int, help="cap on every search budget (>= 1)")
+    p.add_argument("--budget", type=int, metavar="N", help="set every search budget to N (>= 1)")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="brute-force reconciliation")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=size, required=True)
-    p.add_argument("--budget", type=int, help="cap on every search budget (>= 1)")
+    p.add_argument("--budget", type=int, metavar="N", help="set every search budget to N (>= 1)")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
     p.add_argument("--format", choices=("json", "plain"), default="json")
     p.set_defaults(func=_cmd_verify)

@@ -264,13 +264,15 @@ def cross_check_counts(n_max: int, q: PrimePower) -> CountCrossCheck:
     rows = []
     for n in range(0, n_max + 1):
         data = enumerate_class_data(n, q)
-        direct_real = sum(1 for d in data if is_real(d))
         _check("K", n, len(data), k_series)
-        direct_sr = None
         if odd:
-            direct_sr = sum(1 for d in data if strongly_real(d).status == STRONGLY_REAL)
+            verdicts = [strongly_real(d) for d in data]
+            direct_real = sum(v.real for v in verdicts)
+            direct_sr = sum(v.status == STRONGLY_REAL for v in verdicts)
             _check("R", n, direct_real, r_series)
             _check("T", n, direct_sr, t_series)
+        else:
+            direct_real, direct_sr = sum(map(is_real, data)), None
         rows.append(CountRow(n, len(data), direct_real, direct_sr))
     notes = []
     if odd and n_max >= 1:

@@ -929,21 +929,6 @@ def _unitary_members(
     yield from walk([])
 
 
-def _is_involution(F: GFTable, h: Matrix) -> bool:
-    """h h == 1, entry by entry, stopping at the first wrong one."""
-    add, mul = F.add, F.mul
-    cols = tuple(zip(*h))
-    for i, row in enumerate(h):
-        for j, col in enumerate(cols):
-            acc = 0
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = add[acc][mul[a][b]]
-            if acc != (1 if i == j else 0):
-                return False
-    return True
-
-
 def _reversers(
     g: Matrix,
     form: HermitianForm,
@@ -954,18 +939,15 @@ def _reversers(
     """Unitary h with h g h^(-1) = g^(-1), lazily; only involutions if asked.
 
     With a materialized group, which must contain g, filters its involutions
-    or its elements; otherwise searches the unitary members of the reversing
-    space, raising BudgetExceededError once the search passes
-    budgets.reversing_scan nodes.
+    or its elements; otherwise walks the unitary members of the reversing
+    space, in Hermitian mode for involutions, raising BudgetExceededError
+    once the walk passes budgets.reversing_scan nodes.
     """
     if group is not None:
-        yield from group.reversers(g, involution)
-        return
+        return group.reversers(g, involution)
     F = table_for(form.q)
-    members = _unitary_members(F, reversing_space(F, g), form.gram, budgets.reversing_scan)
-    if involution:
-        members = (h for h in members if _is_involution(F, h))
-    yield from members
+    space = reversing_space(F, g)
+    return _unitary_members(F, space, form.gram, budgets.reversing_scan, involutions=involution)
 
 
 def strong_reality_witnesses(
@@ -974,13 +956,8 @@ def strong_reality_witnesses(
     group: GroupEnumeration | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ):
-    """Every unitary involution s with s g s = g^(-1), sorted; without a
-    group, the walk over the reversers with J s Hermitian finds them."""
-    if group is not None:
-        return sorted(group.reversers(g, involution=True))
-    F = table_for(form.q)
-    space = reversing_space(F, g)
-    return sorted(_unitary_members(F, space, form.gram, budgets.reversing_scan, involutions=True))
+    """Every unitary involution s with s g s = g^(-1), sorted."""
+    return sorted(_reversers(g, form, group, budgets, involution=True))
 
 
 def is_strongly_real_oracle(
@@ -991,9 +968,9 @@ def is_strongly_real_oracle(
 ) -> bool:
     """Search verdict: does some unitary involution reverse g?
 
-    With a materialized group, scans its involutions; otherwise searches the
-    unitary members of the reversing space.  Raises BudgetExceededError
-    instead of guessing.
+    With a materialized group, scans its involutions; otherwise walks the
+    involutive unitary members of the reversing space.  Raises
+    BudgetExceededError instead of guessing.
     """
     return next(_reversers(g, form, group, budgets, involution=True), None) is not None
 
@@ -1021,8 +998,7 @@ class ClassRecord:
 
     @property
     def classifier_real(self) -> bool:
-        # strongly_real answers with the reality rule exactly when is_real fails
-        return self.verdict.rule != classify.RULE_REALITY
+        return self.verdict.real
 
     @property
     def agree(self) -> bool:
@@ -1118,39 +1094,39 @@ def _conjugation_orbits(group: GroupEnumeration) -> list:
 
 
 def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, budgets: Budgets):
-    """(real, strongly real) from one walk over the unitary reversers of g,
-    a representative of datum; None wherever a budget ran out.
+    """(real, strongly real) for g, a representative of datum, from the
+    walks over its unitary reversers; None wherever a budget ran out.
 
-    A walk that ends without an involution has seen every unitary reverser,
-    a coset of the centralizer if it found any; that count is checked
-    against Wall's |C(g)|.  Whether it found any is the oracle's own reality
-    verdict, which reconcile compares with the classifier.  A walk that runs
-    out of budget hands strong reality to the walk over the involutive
-    reversers alone, on a budget of its own: an involution found there is
-    also a reverser, and a drained walk without one rules strong reality out.
+    The Hermitian walk decides strong reality: an involution settles both
+    verdicts, a drain without one rules strong reality out.  Otherwise the
+    full walk counts the reversers, a coset of the centralizer if there are
+    any, and a drained count is checked against Wall's |C(g)|.  Whether it
+    found any is the oracle's own reality verdict, which reconcile compares
+    with the classifier.  Each walk has a budget of its own.  Every partial
+    member the Hermitian walk extends, the full walk extends too, through
+    at least as many nodes, so where the Hermitian walk runs out the full
+    walk does as well.
     """
     F = table_for(form.q)
     space = reversing_space(F, g)
+    walk = functools.partial(_unitary_members, F, space, form.gram, budgets.reversing_scan)
+    try:
+        if next(walk(involutions=True), None) is not None:
+            return True, True
+        strong = False
+    except BudgetExceededError:
+        strong = None
     leaves = 0
     try:
-        for h in _unitary_members(F, space, form.gram, budgets.reversing_scan):
-            if _is_involution(F, h):
-                return True, True
+        for _ in walk():
             leaves += 1
     except BudgetExceededError:
-        involutions = _unitary_members(
-            F, space, form.gram, budgets.reversing_scan, involutions=True
-        )
-        try:
-            strong = next(involutions, None) is not None
-        except BudgetExceededError:
-            strong = None
-        return (True if leaves or strong else None), strong
+        return (True if leaves else None), strong
     if leaves and leaves != centralizer_order(datum):
         raise CountMismatchError(
             f"{leaves} unitary reversers of {datum}, expected {centralizer_order(datum)}"
         )
-    return leaves > 0, False
+    return leaves > 0, strong
 
 
 def _sign_inverse_images(F: GFTable, g: Matrix) -> list:

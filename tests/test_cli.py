@@ -526,6 +526,17 @@ def test_budget_exhaustion_exit_three(capsys):
     assert payload["disagreements"] == 0
 
 
+@pytest.mark.parametrize("verb", ["realize", "verify"])
+def test_budget_help_says_it_sets_every_budget(capsys, verb):
+    # Budgets.uniform(N) sets every budget to N, so N can raise a budget
+    # above its default as well as lower it
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--budget N set every search budget to N (>= 1)" in help_text
+
+
 def test_closure_within_the_order_budget(capsys):
     # |U(4, F_2)| = 77760 fits the order budget, the only cap on the closure
     # strategy, so verify materializes the group

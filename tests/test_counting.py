@@ -2,7 +2,7 @@
 
 import pytest
 
-from strongreal import counting
+from strongreal import classify, counting
 from strongreal.classdata import is_real
 from strongreal.classify import STRONGLY_REAL, strongly_real
 from strongreal.counting import (
@@ -237,6 +237,22 @@ def test_cross_check_enumerates_each_n_once(pp, monkeypatch):
     monkeypatch.setattr(counting, "iter_class_data", counted)
     cross_check_counts(4, pp)
     assert seen == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("pp", [PP5, PP2])
+def test_cross_check_runs_is_real_once_per_class(pp, monkeypatch):
+    # odd q reads reality off each class's one strongly_real verdict; even
+    # q, which counts no strongly real classes, calls is_real itself
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return is_real(d)
+
+    monkeypatch.setattr(classify, "is_real", counted)
+    monkeypatch.setattr(counting, "is_real", counted)
+    table = cross_check_counts(4, pp)
+    assert len(calls) == sum(r.direct_all for r in table.rows)
 
 
 def test_cross_check_even_q_k_only():

@@ -3,25 +3,28 @@ J h Hermitian, which for a unitary h are exactly the involutions.  Checked
 against the involutions among the full walk's leaves, against a plain scan
 of the GF(q)-space of Hermitian reversers, against Wall's class equation
 where neither can run, and through reconcile, where it decides strong
-reality once the full walk has run out of budget."""
+reality."""
 
 import itertools
+import math
 
 import pytest
 
 from strongreal.classdata import centralizer_order, class_datum, is_real, partition, unitary_order
 from strongreal.classify import UNKNOWN, strongly_real
 from strongreal.counting import enumerate_class_data
-from strongreal.errors import BudgetExceededError
+from strongreal.errors import BudgetExceededError, CountMismatchError
 from strongreal.fields import PrimePower, make_context, prime_power, table_for
-from strongreal.linalg import conj_transpose, is_unitary, mat_inv, mat_mul, nullspace
+from strongreal.linalg import conj_transpose, identity, is_unitary, mat_inv, mat_mul, nullspace
+from strongreal import oracle
 from strongreal.oracle import (
     Budgets,
     _block_representative,
-    _is_involution,
+    _representative_records,
     _representative_verdicts,
     _unitary_members,
     identity_form,
+    is_real_oracle,
     is_strongly_real_oracle,
     realize_class,
     reconcile,
@@ -111,12 +114,12 @@ def test_hermitian_leaves_are_the_involutions(q, n):
             assert len(herm) == len(set(herm))
             ginv = mat_inv(F, g)
             for h in herm:
-                assert is_unitary(F, h, form.gram) and _is_involution(F, h)
+                assert is_unitary(F, h, form.gram) and mat_mul(F, h, h) == identity(n)
                 assert mat_mul(F, h, g) == mat_mul(F, ginv, h)
             fits = False
             if centralizer_order(d) <= 10**5:
                 full = list(_unitary_members(F, basis, form.gram, 10**7))
-                assert set(herm) == {h for h in full if _is_involution(F, h)}
+                assert set(herm) == {h for h in full if mat_mul(F, h, h) == identity(n)}
                 by_walk += 1
                 fits = True
             if q ** len(basis) <= 10**4:
@@ -152,14 +155,17 @@ def test_hermitian_walk_drains_the_four_exhausted_classes():
 
 
 class NodeClock:
-    """A budget that never runs out and keeps the node count (a search
-    evaluates `nodes > budget` as `budget < nodes`)."""
+    """A budget of cap nodes, none unless given, that keeps the node count
+    (a search evaluates `nodes > budget` as `budget < nodes`)."""
 
     nodes = 0
 
+    def __init__(self, cap=math.inf):
+        self.cap = cap
+
     def __lt__(self, nodes):
         self.nodes = nodes
-        return False
+        return self.cap < nodes
 
 
 def test_node_count_where_the_line_condition_skips_c():
@@ -185,25 +191,107 @@ def test_node_count_where_the_line_condition_skips_c():
         list(_unitary_members(F, basis, form.gram, 44, involutions=True))
 
 
+def reference_representative_verdicts(g, datum, form, budgets):
+    """The decision with the full walk first: every leaf tested for h h = 1,
+    and the Hermitian walk only where the full walk runs out.  The
+    reference for _representative_verdicts."""
+    F = table_for(form.q)
+    space = reversing_space(F, g)
+    one = identity(len(g))
+    leaves = 0
+    try:
+        for h in _unitary_members(F, space, form.gram, budgets.reversing_scan):
+            if mat_mul(F, h, h) == one:
+                return True, True
+            leaves += 1
+    except BudgetExceededError:
+        involutions = _unitary_members(
+            F, space, form.gram, budgets.reversing_scan, involutions=True
+        )
+        try:
+            strong = next(involutions, None) is not None
+        except BudgetExceededError:
+            strong = None
+        return (True if leaves or strong else None), strong
+    if leaves and leaves != centralizer_order(datum):
+        raise CountMismatchError(f"{leaves} unitary reversers of {datum}")
+    return leaves > 0, False
+
+
+DIFFERENTIAL_CASES = [(3, n) for n in (1, 2, 3, 4)] + [(5, 3)] + [(2, n) for n in (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("q,n", DIFFERENTIAL_CASES)
+def test_verdicts_match_the_full_walk_reference(q, n, monkeypatch):
+    # every class, at the default budgets and at budgets where walks run
+    # out: the same records, undecided ones included, as the full walk
+    # with its per-leaf involution test
+    pp = prime_power(q)
+    form = identity_form(n, pp)
+    data = enumerate_class_data(n, pp, max_n=n, max_q=q)
+    for budgets in (Budgets(), Budgets(reversing_scan=1000), Budgets(reversing_scan=30)):
+        got = _representative_records(data, form, budgets)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_representative_verdicts", reference_representative_verdicts)
+            assert got == _representative_records(data, form, budgets), budgets
+
+
+def drain_nodes(F, basis, J, cap, involutions):
+    """Nodes of the drained walk, or None past cap nodes."""
+    clock = NodeClock(cap)
+    try:
+        for _ in _unitary_members(F, basis, J, clock, involutions=involutions):
+            pass
+    except BudgetExceededError:
+        return None
+    return clock.nodes
+
+
+@pytest.mark.parametrize("q,n", DIFFERENTIAL_CASES)
+def test_hermitian_drain_takes_no_more_nodes(q, n):
+    # wherever the full walk drains, the Hermitian walk drains in at most
+    # as many nodes, so a budget the Hermitian walk runs out of, the full
+    # walk runs out of too and its leaves could not decide strong reality
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    blocks = {}
+    drained = 0
+    for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
+        g = _block_representative(d, form, Budgets(), blocks)
+        basis = reversing_space(F, g)
+        full = drain_nodes(F, basis, form.gram, 20000, involutions=False)
+        if full is not None:
+            hermitian = drain_nodes(F, basis, form.gram, full, involutions=True)
+            assert hermitian is not None and hermitian <= full, d
+            drained += 1
+    assert drained
+
+
 def test_witnesses_use_the_hermitian_walk():
-    # strong_reality_witnesses without a group drains the Hermitian walk:
-    # (2,1) in U(3, F_5) within 3,125 nodes, where the full walk (35,125
-    # nodes), which is_strongly_real_oracle runs, raises instead
+    # without a group, strong reality is the Hermitian walk alone: (2,1) in
+    # U(3, F_5) drains within 3,125 nodes without an involution, where the
+    # full walk (35,125 nodes), which is_real_oracle runs, meets its first
+    # reverser at node 29 and raises before it drains
     pp = prime_power(5)
+    F = table_for(pp)
     one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (4,)))
     form = identity_form(3, pp)
     g = realize_class(class_datum(pp, {one: partition([2, 1])}), form)
     small = Budgets(reversing_scan=3125)
     assert strong_reality_witnesses(g, form, budgets=small) == []
+    assert not is_strongly_real_oracle(g, form, budgets=small)
+    assert is_real_oracle(g, form, budgets=small)
     with pytest.raises(BudgetExceededError):
-        is_strongly_real_oracle(g, form, budgets=small)
+        list(_unitary_members(F, reversing_space(F, g), form.gram, 3125))
 
 
 def test_exhaustion_is_recorded_not_guessed_u35():
     # at reversing_scan = 1000 the Hermitian walk cannot drain (2,1) at
-    # t - 1 and t + 1 either, so strong reality stays undecided; the
-    # non-real classes whose full walk runs out become (None, False): no
-    # involution reverses them, but reality is not known from the walk
+    # t - 1 and t + 1, so strong reality stays undecided, and the full walk
+    # runs out after its first reverser; the non-real classes whose full
+    # walk runs out become (None, False): no involution reverses them, but
+    # reality is not known from the walk
     budgets = Budgets(entry_scan=10, group_order=10, reversing_scan=1000, realize_scan=200000)
     report = reconcile(3, 5, budgets)
     assert report.strategy == "representatives"
@@ -273,9 +361,9 @@ def test_unknown_classes_of_u_n_f2_decided_by_search():
         assert len(basis) == m
         found = list(_unitary_members(F, basis, form.gram, 10**6, involutions=True))
         assert len(found) == len(set(found)) == involutions
-        assert all(_is_involution(F, h) and is_unitary(F, h, form.gram) for h in found)
-        # reconcile's verdicts: real from the full walk, strong reality from
-        # it or, once it runs out, from the Hermitian walk
+        assert all(mat_mul(F, h, h) == identity(n) and is_unitary(F, h, form.gram) for h in found)
+        # reconcile's verdicts: strong reality from the Hermitian walk, real
+        # from it or from the full walk
         verdicts = _representative_verdicts(g, d, form, Budgets.uniform(20000))
         assert verdicts == (True, involutions > 0)
 

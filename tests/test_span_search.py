@@ -31,7 +31,6 @@ from strongreal.oracle import (
     _first_nondegenerate,
     _hermitian_dot,
     _invariant_hermitian_basis,
-    _is_involution,
     _jordan_style_matrix,
     _span,
     _unitary_members,
@@ -525,19 +524,6 @@ def test_budget_boundary_u35_unipotent_21():
         outcome = until_budget(_unitary_members, F, basis, form.gram, budget)
         assert outcome == until_budget(reference_unitary_members, F, basis, form.gram, budget)
         assert outcome == ([h for t, h in found if t <= budget], total > budget)
-
-
-@pytest.mark.parametrize("q,n,entries", [(2, 2, None), (3, 2, None), (2, 3, (0, 1)), (3, 3, (0, 1, 2))])
-def test_involution_test_matches_the_product(q, n, entries):
-    # every n x n matrix with entries in the given set (all of GF(q^2) if
-    # None), and every unitary involution
-    F = table_for(prime_power(q))
-    one = identity(n)
-    for flat in itertools.product(entries or range(F.size), repeat=n * n):
-        h = tuple(zip(*[iter(flat)] * n))
-        assert _is_involution(F, h) == (mat_mul(F, h, h) == one)
-    for h in strong_reality_witnesses(one, identity_form(n, prime_power(q))):
-        assert _is_involution(F, h)
 
 
 def test_reconcile_u43_budget_20000():
