@@ -31,15 +31,6 @@ from .counting import (
 )
 from .errors import BudgetExceededError, EnumerationBoundError, RealizationBudgetError, StrongRealError
 from .fields import prime_power
-from .oracle import (
-    DEFAULT_BUDGETS,
-    Budgets,
-    _block_representative,
-    identity_form,
-    matrix_to_json,
-    realize_class,
-    reconcile,
-)
 
 
 class UsageError(Exception):
@@ -64,8 +55,11 @@ def size(text: str) -> int:
 
 
 def _read_datum(path: str, q, reader):
-    with open(path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
     try:
         signed = isinstance(obj, dict) and {"t_minus_1", "t_plus_1"} & obj.keys()
         if reader is datum_from_json and signed:
@@ -190,6 +184,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .oracle import _block_representative, identity_form, matrix_to_json, realize_class
+
     q = prime_power(args.q)
     budgets = _budgets(args)
     datum = _read_datum(args.datum, q, datum_from_json)
@@ -204,6 +200,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import reconcile
+
     q = prime_power(args.q)
     budgets = _budgets(args)
     report = reconcile(args.n, q, budgets)
@@ -223,7 +221,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _budgets(args) -> Budgets:
+def _budgets(args):
+    from .oracle import DEFAULT_BUDGETS, Budgets
+
     if args.budget is None:
         return DEFAULT_BUDGETS
     if args.budget < 1:
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except StrongRealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -137,6 +137,15 @@ def test_malformed_datum_file_is_a_usage_error(tmp_path, capsys, content):
         assert err.startswith("usage error: malformed datum file")
 
 
+def test_unreadable_datum_path_is_a_usage_error(tmp_path, capsys):
+    # a directory opens with IsADirectoryError, an OSError like a missing file
+    for verb in ("classify", "realize"):
+        code, out, err = run(capsys, verb, "--q", "3", "--datum", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: [Errno 21] Is a directory")
+
+
 def test_classify_sp_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "--q", "3", "--sp", "--unipotent", "2")
     assert code == 1 and "suffix" in err
@@ -392,6 +401,52 @@ def test_python_m_strongreal_runs_the_cli(capsys):
     assert len(out.splitlines()) == 16
 
 
+IMPORT_GRAPH = """
+import contextlib, io, json, sys
+from strongreal.cli import main
+
+loaded = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv.split())
+    layers = [m for m in ("strongreal.oracle", "strongreal.linalg") if m in sys.modules]
+    loaded.append([argv, code, layers])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_imports_the_oracle():
+    # the verbs without matrices load neither oracle nor linalg, in one process
+    verbs = [
+        "count --q 3 --n-max 2",
+        "list --q 3 --n 2",
+        "series --q 3 --order 5 --which T",
+        "classify --q 3 --unipotent 2,2",
+        "verify --q 2 --n 1",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, *verbs],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded[:4] == [[argv, 0, []] for argv in verbs[:4]]
+    assert loaded[4] == [verbs[4], 0, ["strongreal.oracle", "strongreal.linalg"]]
+
+
+def test_submodule_resolves_after_a_bare_import():
+    script = (
+        "import sys, strongreal; "
+        "assert 'strongreal.oracle' not in sys.modules; "
+        "assert strongreal.oracle is sys.modules['strongreal.oracle']; "
+        "assert strongreal.reconcile is strongreal.oracle.reconcile"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_series(capsys):
     code, out, _ = run(capsys, "series", "--q", "3", "--order", "4", "--which", "T")
     assert code == 0
@@ -496,9 +551,9 @@ def test_verify_disagreement_exit_two(monkeypatch, capsys):
     # only reachable by tampering with a record, since the real runs agree
     import dataclasses
 
-    import strongreal.cli as cli
+    import strongreal.oracle as oracle
 
-    true_reconcile = cli.reconcile
+    true_reconcile = oracle.reconcile
 
     def tampered(n, q, budgets=None):
         report = true_reconcile(n, q, budgets)
@@ -511,7 +566,7 @@ def test_verify_disagreement_exit_two(monkeypatch, capsys):
                 break
         return dataclasses.replace(report, records=tuple(records))
 
-    monkeypatch.setattr(cli, "reconcile", tampered)
+    monkeypatch.setattr(oracle, "reconcile", tampered)
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "1")
     assert code == 2
     assert json.loads(out)["disagreements"] == 1
