@@ -22,13 +22,6 @@ from .classdata import (
     symplectic_datum,
     unipotent_datum,
 )
-from .counting import (
-    cross_check_counts,
-    iter_class_data,
-    series_K,
-    series_R,
-    series_T,
-)
 from .errors import BudgetExceededError, EnumerationBoundError, RealizationBudgetError, StrongRealError
 from .fields import prime_power
 
@@ -137,6 +130,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import cross_check_counts
+
     q = prime_power(args.q)
     if q.p == 2:
         raise UsageError("count requires odd q (no strongly-real counting formula for even q)")
@@ -154,6 +149,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .counting import iter_class_data
+
     q = prime_power(args.q)
     for datum in iter_class_data(args.n, q):
         if args.filter == "real" and not is_real(datum):
@@ -167,15 +164,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
-_SERIES = {"K": series_K, "R": series_R, "T": series_T}
-
-
 def _cmd_series(args) -> int:
+    from .counting import series_K, series_R, series_T
+
     q = prime_power(args.q)
     which = args.which.upper()
-    if which not in _SERIES:
+    series_of = {"K": series_K, "R": series_R, "T": series_T}
+    if which not in series_of:
         raise UsageError("--which must be K, R, or T")
-    series = _SERIES[which](q, args.order)
+    series = series_of[which](q, args.order)
     if args.format == "plain":
         print(" ".join(str(c) for c in series.coeffs))
     else:

@@ -156,8 +156,8 @@ def standard_forms(n: int, q: PrimePower) -> list[HermitianForm]:
 # as the tuple of its row codes.  Right multiplication by a fixed g is one
 # table from row code to row code, so x * g costs n lookups.  Closure
 # records, for each generator, its right-multiplication permutation of
-# element indices; with the inverse permutation these give conjugation,
-# involutions and reversers without a single matrix product per element.
+# element indices; with the inverse permutation these give conjugation and
+# involutions without a single matrix product per element.
 # The group keeps its elements as codes, in the order the closure reached
 # them, and decodes only the matrices it hands out.
 
@@ -178,14 +178,9 @@ class _RowCodes:
     def decode(self, x: tuple) -> Matrix:
         return tuple([self.rows[c] for c in x])
 
-    def products(self, row_codes, g: Matrix) -> list:
-        """Codes of row * g for the given row codes, from one matrix product."""
-        rows = self.rows
-        return [self.code[row] for row in mat_mul(self.F, [rows[c] for c in row_codes], g)]
-
     def table(self, g: Matrix) -> list:
-        """Row code -> code of (row * g), over every row."""
-        return self.products(range(len(self.rows)), g)
+        """Row code -> code of (row * g), over every row, from one matrix product."""
+        return [self.code[row] for row in mat_mul(self.F, self.rows, g)]
 
     def adjoint(self, x: tuple) -> tuple:
         """Code of the conjugate transpose."""
@@ -236,21 +231,6 @@ class GroupEnumeration:
 
     def involutions(self):
         return tuple(self.codec.decode(self.codes[i]) for i in self.involution_indices)
-
-    def reversers(self, g: Matrix, involution: bool):
-        """Elements h with h g h^(-1) = g^(-1), lazily and in index order;
-        only involutions if asked.  g must be an element."""
-        if g not in self:
-            raise ValueError("g is not an element of the group")
-        codes, index, inverse = self.codes, self.index, self.inverse
-        candidates = self.involution_indices if involution else range(self.order)
-        # h g h^(-1) = g^(-1) iff (h g)(h^(-1) g) = 1; the candidates are
-        # closed under inversion, so only their rows need a product with g
-        rows = list({r for i in candidates for r in codes[i]})
-        table = dict(zip(rows, self.codec.products(rows, g)))
-        for i in candidates:
-            if inverse[index[_times(codes[i], table)]] == index[_times(codes[inverse[i]], table)]:
-                yield self.codec.decode(codes[i])
 
 
 def _hermitian_dot(F: GFTable, J: Matrix):
@@ -929,60 +909,38 @@ def _unitary_members(
     yield from walk([])
 
 
-def _reversers(
-    g: Matrix,
-    form: HermitianForm,
-    group: GroupEnumeration | None,
-    budgets: Budgets,
-    involution: bool,
-):
-    """Unitary h with h g h^(-1) = g^(-1), lazily; only involutions if asked.
-
-    With a materialized group, which must contain g, filters its involutions
-    or its elements; otherwise walks the unitary members of the reversing
-    space, in Hermitian mode for involutions, raising BudgetExceededError
-    once the walk passes budgets.reversing_scan nodes.
-    """
-    if group is not None:
-        return group.reversers(g, involution)
+def _reverser_walk(g: Matrix, form: HermitianForm, budgets: Budgets):
+    """The walk over the unitary h with h g h^(-1) = g^(-1), lazily; called
+    with involutions=True it runs in Hermitian mode and yields only the
+    involutions.  Raises BudgetExceededError once it passes
+    budgets.reversing_scan nodes."""
     F = table_for(form.q)
-    space = reversing_space(F, g)
-    return _unitary_members(F, space, form.gram, budgets.reversing_scan, involutions=involution)
+    return functools.partial(
+        _unitary_members, F, reversing_space(F, g), form.gram, budgets.reversing_scan
+    )
 
 
 def strong_reality_witnesses(
-    g: Matrix,
-    form: HermitianForm,
-    group: GroupEnumeration | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    g: Matrix, form: HermitianForm, *, budgets: Budgets = DEFAULT_BUDGETS
 ):
     """Every unitary involution s with s g s = g^(-1), sorted."""
-    return sorted(_reversers(g, form, group, budgets, involution=True))
+    return sorted(_reverser_walk(g, form, budgets)(involutions=True))
 
 
 def is_strongly_real_oracle(
-    g: Matrix,
-    form: HermitianForm,
-    group: GroupEnumeration | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    g: Matrix, form: HermitianForm, *, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
-    """Search verdict: does some unitary involution reverse g?
-
-    With a materialized group, scans its involutions; otherwise walks the
-    involutive unitary members of the reversing space.  Raises
-    BudgetExceededError instead of guessing.
-    """
-    return next(_reversers(g, form, group, budgets, involution=True), None) is not None
+    """Search verdict: does some unitary involution reverse g?  Raises
+    BudgetExceededError instead of guessing."""
+    return next(_reverser_walk(g, form, budgets)(involutions=True), None) is not None
 
 
 def is_real_oracle(
-    g: Matrix,
-    form: HermitianForm,
-    group: GroupEnumeration | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    g: Matrix, form: HermitianForm, *, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
-    """Search verdict: is g conjugate to its inverse within the group?"""
-    return next(_reversers(g, form, group, budgets, involution=False), None) is not None
+    """Search verdict: does some unitary h reverse g?  Raises
+    BudgetExceededError instead of guessing."""
+    return next(_reverser_walk(g, form, budgets)(), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1051,20 @@ def _conjugation_orbits(group: GroupEnumeration) -> list:
     return orbit
 
 
+def _strongly_real_orbits(group: GroupEnumeration, orbit: list) -> set:
+    """Orbit ids of the strongly real elements: the products s t of two
+    involutions, the identity included (if s g s = g^(-1), t = s g).  As
+    x (s t) x^(-1) = (x s x^(-1)) (x t x^(-1)), one s per involution orbit
+    times every t meets them all; t s = s (s t) s is in the orbit of s t."""
+    codes, index, codec = group.codes, group.index, group.codec
+    involutions = group.involution_indices
+    strong = set()
+    for s in {orbit[i]: i for i in involutions}.values():
+        table = codec.table(codec.decode(codes[s]))
+        strong.update(orbit[index[_times(codes[t], table)]] for t in involutions)
+    return strong
+
+
 def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, budgets: Budgets):
     """(real, strongly real) for g, a representative of datum, from the
     walks over its unitary reversers; None wherever a budget ran out.
@@ -1107,9 +1079,7 @@ def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, 
     at least as many nodes, so where the Hermitian walk runs out the full
     walk does as well.
     """
-    F = table_for(form.q)
-    space = reversing_space(F, g)
-    walk = functools.partial(_unitary_members, F, space, form.gram, budgets.reversing_scan)
+    walk = _reverser_walk(g, form, budgets)
     try:
         if next(walk(involutions=True), None) is not None:
             return True, True
@@ -1251,12 +1221,12 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         reps: dict = {}
         for i, oid in enumerate(orbit):
             reps.setdefault(oid, i)
+        strong = _strongly_real_orbits(group, orbit)
         # reality from orbit ids: g^(-1) lies in the orbit of g
         found = []
         for oid, i in reps.items():
             g = group.codec.decode(group.codes[i])
-            sr = is_strongly_real_oracle(g, form, group, budgets)
-            found.append((extract_class_datum(g, pp), orbit[group.inverse[i]] == oid, sr))
+            found.append((extract_class_datum(g, pp), orbit[group.inverse[i]] == oid, oid in strong))
         sizes = Counter(orbit)
         _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
         strategy, group_order = group.strategy, group.order

@@ -409,19 +409,20 @@ loaded = []
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv.split())
-    layers = [m for m in ("strongreal.oracle", "strongreal.linalg") if m in sys.modules]
+    layers = [m for m in ("strongreal.counting", "strongreal.oracle", "strongreal.linalg") if m in sys.modules]
     loaded.append([argv, code, layers])
 print(json.dumps(loaded))
 """
 
 
 def test_only_verify_imports_the_oracle():
-    # the verbs without matrices load neither oracle nor linalg, in one process
+    # the verbs without matrices load neither oracle nor linalg, and classify
+    # loads no counting either, in one process
     verbs = [
+        "classify --q 3 --unipotent 2,2",
         "count --q 3 --n-max 2",
         "list --q 3 --n 2",
         "series --q 3 --order 5 --which T",
-        "classify --q 3 --unipotent 2,2",
         "verify --q 2 --n 1",
     ]
     proc = subprocess.run(
@@ -430,8 +431,11 @@ def test_only_verify_imports_the_oracle():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded[:4] == [[argv, 0, []] for argv in verbs[:4]]
-    assert loaded[4] == [verbs[4], 0, ["strongreal.oracle", "strongreal.linalg"]]
+    assert loaded[0] == [verbs[0], 0, []]
+    assert loaded[1:4] == [[argv, 0, ["strongreal.counting"]] for argv in verbs[1:4]]
+    assert loaded[4] == [
+        verbs[4], 0, ["strongreal.counting", "strongreal.oracle", "strongreal.linalg"]
+    ]
 
 
 def test_submodule_resolves_after_a_bare_import():

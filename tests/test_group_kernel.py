@@ -25,7 +25,9 @@ from strongreal.oracle import (
     enumerate_group,
     HermitianForm,
     is_real_oracle,
+    is_strongly_real_oracle,
     reconcile,
+    strong_reality_witnesses,
     unitary_order,
 )
 
@@ -170,13 +172,19 @@ def test_kernel_matches_matrix_reference(n, q, antidiagonal):
     assert set(group.involutions()) == involutions
 
 
-def test_group_search_needs_an_element():
+def test_verdicts_take_no_group():
+    # membership reads row codes; the verdict functions take no group, so a
+    # group passed to one, by position or by name, is a TypeError
     pp = prime_power(3)
     group = enumerate_group(2, pp)
     not_unitary = ((1, 1), (0, 1))
     assert not_unitary not in group
-    with pytest.raises(ValueError):
-        is_real_oracle(not_unitary, group.form, group)
+    assert identity(2) in group
+    for verdict in (is_real_oracle, is_strongly_real_oracle, strong_reality_witnesses):
+        with pytest.raises(TypeError):
+            verdict(identity(2), group.form, group)
+        with pytest.raises(TypeError):
+            verdict(identity(2), group.form, group=group)
 
 
 @pytest.mark.parametrize("fault", ["merge", "split"])

@@ -28,6 +28,8 @@ from strongreal.oracle import (
     _representative_records,
     _representative_verdicts,
     _sign_inverse_images,
+    _strongly_real_orbits,
+    _times,
     _unitary_members,
     anti_diagonal,
     enumerate_group,
@@ -372,31 +374,72 @@ def test_three_one_strongly_real_and_witnesses():
     assert s in witnesses
 
 
+def reference_group_reversers(group, g, involution):
+    """Elements h of a materialized group with h g h^(-1) = g^(-1), lazily and
+    in index order; only involutions if asked.  g must be an element."""
+    assert g in group
+    codes, index, inverse = group.codes, group.index, group.inverse
+    table = group.codec.table(g)
+    candidates = group.involution_indices if involution else range(group.order)
+    # h g h^(-1) = g^(-1) iff (h g)(h^(-1) g) = 1
+    for i in candidates:
+        if inverse[index[_times(codes[i], table)]] == index[_times(codes[inverse[i]], table)]:
+            yield group.codec.decode(codes[i])
+
+
+def orbit_of(group, orbit, g):
+    return orbit[group.index[group.codec.encode(g)]]
+
+
 def test_group_strategy_strong_reality():
     grp = enumerate_group(2, PP3)
-    form = identity_form(2, PP3)
-    d = unipotent_datum(PP3, [2])
-    g = realize_class(d, form)
-    assert g in grp
-    assert is_strongly_real_oracle(g, form, group=grp) is False
-    assert is_strongly_real_oracle(identity(2), form, group=grp) is True
+    orbit = _conjugation_orbits(grp)
+    strong = _strongly_real_orbits(grp, orbit)
+    g = realize_class(unipotent_datum(PP3, [2]), identity_form(2, PP3))
+    assert orbit_of(grp, orbit, g) not in strong
+    assert next(reference_group_reversers(grp, g, involution=True), None) is None
+    assert orbit_of(grp, orbit, identity(2)) in strong
 
 
 def test_group_and_scan_searches_agree_u23():
-    # every class of U(2, F_3): filtering the materialized group and scanning
-    # the reversing space must give the same verdicts and the same witnesses
+    # every class of U(2, F_3): filtering the materialized group, the orbit
+    # table and scanning the reversing space must give the same verdicts,
+    # and the filter and the scan the same witnesses
     grp = enumerate_group(2, PP3)
+    orbit = _conjugation_orbits(grp)
+    strong = _strongly_real_orbits(grp, orbit)
     form = identity_form(2, PP3)
     data = enumerate_class_data(2, PP3)
     assert len(data) == 16
     for d in data:
         g = realize_class(d, form)
-        assert is_real_oracle(g, form, group=grp) == is_real_oracle(g, form)
-        assert is_strongly_real_oracle(g, form, group=grp) == is_strongly_real_oracle(
-            g, form
-        )
-        by_group = strong_reality_witnesses(g, form, group=grp)
-        assert sorted(by_group) == sorted(strong_reality_witnesses(g, form))
+        real = next(reference_group_reversers(grp, g, involution=False), None) is not None
+        assert real == is_real_oracle(g, form)
+        by_group = list(reference_group_reversers(grp, g, involution=True))
+        assert bool(by_group) == is_strongly_real_oracle(g, form)
+        assert (orbit_of(grp, orbit, g) in strong) == bool(by_group)
+        assert sorted(by_group) == strong_reality_witnesses(g, form)
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(0, 2), (1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 3), (0, 3), (1, 3), (1, 5)],
+)
+def test_orbit_table_matches_group_reversers(n, q):
+    # the strongly real orbits read off the involution products must be
+    # exactly the orbits whose first element an involution of the group reverses
+    pp = prime_power(q)
+    grp = enumerate_group(n, pp)
+    orbit = _conjugation_orbits(grp)
+    reps: dict = {}
+    for i, oid in enumerate(orbit):
+        reps.setdefault(oid, i)
+    expected = {
+        oid
+        for oid, i in reps.items()
+        if next(reference_group_reversers(grp, grp.elements[i], involution=True), None) is not None
+    }
+    assert _strongly_real_orbits(grp, orbit) == expected
 
 
 def test_budget_error_is_not_a_verdict():
