@@ -9,12 +9,11 @@ of the partitions at t-1 and t+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from .errors import DatumError, NegationUndefinedError
-from .fields import PrimePower, make_context
+from .fields import PrimePower, _Frozen, _set, make_context
 from .upoly import (
     MonicPoly,
     UIrreducible,
@@ -27,17 +26,26 @@ from .upoly import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing tuple of positive parts."""
+class Partition(_Frozen):
+    """Weakly decreasing tuple of positive parts, ordered as its parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...] = ()):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        _set(self, "parts", parts)
+
+    def _key(self): return (self.parts,)
+
+    # a > b and a >= b fall back to b < a and b <= a
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is Partition else NotImplemented
+
+    def __le__(self, other):
+        return self.parts <= other.parts if other.__class__ is Partition else NotImplemented
 
     @property
     def size(self) -> int:
@@ -104,16 +112,20 @@ def commutant_dim(mu: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassDatum:
+class ClassDatum(_Frozen):
     """Partition-valued label of a conjugacy class of U(n, F_q).
 
     blocks maps U-irreducibles in the support to nonempty partitions, kept
     sorted by (degree, coefficients) so equality is structural.
     """
 
-    q: PrimePower
-    blocks: tuple[tuple[UIrreducible, Partition], ...]
+    __slots__ = ("q", "blocks")
+
+    def __init__(self, q: PrimePower, blocks: tuple[tuple[UIrreducible, Partition], ...]):
+        _set(self, "q", q)
+        _set(self, "blocks", blocks)
+
+    def _key(self): return (self.q, self.blocks)
 
     @property
     def n(self) -> int:
@@ -309,32 +321,34 @@ def datum_from_json(obj) -> ClassDatum:
 # symplectic labels (q odd)
 
 
-@dataclass(frozen=True)
-class SignedPartition:
+class SignedPartition(_Frozen):
     """Partition with odd parts of even multiplicity and signed even parts.
 
     signs lists (even part value, +1 or -1), one entry per even part value
     present in the base partition.
     """
 
-    base: Partition
-    signs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("base", "signs")
 
-    def __post_init__(self):
-        mults = self.base.multiplicities()
+    def __init__(self, base: Partition, signs: tuple[tuple[int, int], ...] = ()):
+        mults = base.multiplicities()
         for part, m in mults.items():
             if part % 2 == 1 and m % 2 == 1:
                 raise DatumError(
                     f"odd part {part} has odd multiplicity {m} in a signed partition"
                 )
         even_values = {part for part in mults if part % 2 == 0}
-        sign_domain = {part for part, _ in self.signs}
+        sign_domain = {part for part, _ in signs}
         if sign_domain != even_values:
             raise DatumError("signs must cover exactly the even part values")
-        if any(s not in (1, -1) for _, s in self.signs):
+        if any(s not in (1, -1) for _, s in signs):
             raise DatumError("signs must be +1 or -1")
-        if tuple(sorted(self.signs, reverse=True)) != self.signs:
+        if tuple(sorted(signs, reverse=True)) != signs:
             raise DatumError("signs must be sorted by part, descending")
+        _set(self, "base", base)
+        _set(self, "signs", signs)
+
+    def _key(self): return (self.base, self.signs)
 
     @property
     def size(self) -> int:
@@ -382,8 +396,7 @@ def enumerate_signed_partitions(weight: int) -> tuple[SignedPartition, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SymplecticClassDatum:
+class SymplecticClassDatum(_Frozen):
     """Label of a conjugacy class of Sp(2n, F_q), q odd.
 
     pairs is a real unitary datum away from t+-1 (each f and tilde(f) carry
@@ -391,11 +404,14 @@ class SymplecticClassDatum:
     partitions.
     """
 
-    pairs: ClassDatum
-    signed_plus: SignedPartition
-    signed_minus: SignedPartition
+    __slots__ = ("pairs", "signed_plus", "signed_minus")
 
-    def __post_init__(self):
+    def __init__(
+        self, pairs: ClassDatum, signed_plus: SignedPartition, signed_minus: SignedPartition
+    ):
+        _set(self, "pairs", pairs)
+        _set(self, "signed_plus", signed_plus)
+        _set(self, "signed_minus", signed_minus)
         if self.q.p == 2:
             raise DatumError("symplectic data here require odd q")
         if {t_minus_one(self.q), t_plus_one(self.q)} & {f for f, _ in self.blocks}:
@@ -404,6 +420,8 @@ class SymplecticClassDatum:
             raise DatumError("blocks must satisfy mu(f) = mu(tilde f)")
         if self.n2 % 2:
             raise DatumError("total degree of a symplectic datum must be even")
+
+    def _key(self): return (self.pairs, self.signed_plus, self.signed_minus)
 
     @property
     def q(self) -> PrimePower:

@@ -14,8 +14,6 @@ Every non-Unknown verdict carries a stable rule tag so it can be audited:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classdata import (
     ClassDatum,
     Partition,
@@ -26,7 +24,7 @@ from .classdata import (
     t_plus_one,
     unipotent_datum,
 )
-from .fields import PrimePower
+from .fields import PrimePower, _Frozen, _set
 
 STRONGLY_REAL = "StronglyReal"
 NOT_STRONGLY_REAL = "NotStronglyReal"
@@ -39,17 +37,19 @@ RULE_NS2_1 = "notstrong2-1"
 RULE_NS2_2 = "notstrong2-2"
 RULE_SPCOR = "SpCor"
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    rule: str | None = None
-    witness_hint: dict | None = None
+class Verdict(_Frozen):
+    __slots__ = ("status", "rule", "witness_hint")
 
-    def __post_init__(self):
-        if self.status not in (STRONGLY_REAL, NOT_STRONGLY_REAL, UNKNOWN):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status != UNKNOWN and not self.rule:
+    def __init__(self, status: str, rule: str | None = None, witness_hint: dict | None = None):
+        if status not in (STRONGLY_REAL, NOT_STRONGLY_REAL, UNKNOWN):
+            raise ValueError(f"bad status {status!r}")
+        if status != UNKNOWN and not rule:
             raise ValueError("decided verdicts must cite a rule")
+        _set(self, "status", status)
+        _set(self, "rule", rule)
+        _set(self, "witness_hint", witness_hint)
+
+    def _key(self): return (self.status, self.rule, self.witness_hint)
 
     @property
     def decided(self) -> bool:

@@ -16,12 +16,10 @@ comparison only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classdata import ClassDatum, class_datum, is_real, partitions_of
 from .classify import STRONGLY_REAL, strongly_real
 from .errors import CountMismatchError, EnumerationBoundError
-from .fields import PrimePower
+from .fields import PrimePower, _Frozen, _set
 from .upoly import count_self_conjugate, enumerate_u_irreducibles
 
 # direct enumeration guard: n <= 8 for q <= 5 by default
@@ -29,16 +27,18 @@ ENUM_MAX_N = 8
 ENUM_MAX_Q = 5
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Frozen):
     """Truncated power series with exact integer coefficients."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient vector must have length order+1")
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
+
+    def _key(self): return (self.order, self.coeffs)
 
     def coefficient(self, n: int) -> int:
         return self.coeffs[n]
@@ -195,15 +195,22 @@ def enumerate_class_data(
     return list(iter_class_data(n, q, max_n, max_q))
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(_Frozen):
     """Class counts of U(n, F_q) by direct enumeration, each equal to its
     series coefficient; R is checked against its series only for odd q."""
 
-    n: int
-    direct_all: int
-    direct_real: int
-    direct_strongly_real: int | None  # None when q is even (no counting formula)
+    __slots__ = ("n", "direct_all", "direct_real", "direct_strongly_real")
+
+    def __init__(
+        self, n: int, direct_all: int, direct_real: int,
+        direct_strongly_real: int | None,  # None when q is even (no counting formula)
+    ):
+        _set(self, "n", n)
+        _set(self, "direct_all", direct_all)
+        _set(self, "direct_real", direct_real)
+        _set(self, "direct_strongly_real", direct_strongly_real)
+
+    def _key(self): return (self.n, self.direct_all, self.direct_real, self.direct_strongly_real)
 
     def to_json(self):
         odd = self.direct_strongly_real is not None
@@ -218,13 +225,17 @@ class CountRow:
         }
 
 
-@dataclass(frozen=True)
-class CountCrossCheck:
+class CountCrossCheck(_Frozen):
     """Per-n agreement table of direct enumeration against the series."""
 
-    q: PrimePower
-    rows: tuple[CountRow, ...]
-    notes: tuple[str, ...]
+    __slots__ = ("q", "rows", "notes")
+
+    def __init__(self, q: PrimePower, rows: tuple[CountRow, ...], notes: tuple[str, ...]):
+        _set(self, "q", q)
+        _set(self, "rows", rows)
+        _set(self, "notes", notes)
+
+    def _key(self): return (self.q, self.rows, self.notes)
 
     def to_json(self):
         return {

@@ -14,7 +14,6 @@ GF(q) is at least 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EnumerationBoundError, ExtensionTooLargeError, ZeroInputError
@@ -33,20 +32,56 @@ def is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
-@dataclass(frozen=True)
-class PrimePower:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable value whose fields are its __slots__, each set once by its
+    __init__ through _set.  Two values of one class are equal, and hash, by
+    _key(), the tuple of the fields in __init__ order.  Written out rather
+    than made by @dataclass, whose import and per-class code generation slow
+    the start of every process."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class PrimePower(_Frozen):
     """q = p^e with p prime, verified by trial division at construction."""
 
-    p: int
-    e: int = 1
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
-        if self.p >= P_CAP:
+    def __init__(self, p: int, e: int = 1):
+        if p >= P_CAP:
             raise ValueError("p must stay below 2^16")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if e < 1:
             raise ValueError("exponent must be positive")
+        _set(self, "p", p)
+        _set(self, "e", e)
+
+    def _key(self): return (self.p, self.e)
 
     @property
     def q(self) -> int:

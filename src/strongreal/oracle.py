@@ -15,7 +15,6 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import classify
 from .classdata import (
@@ -33,7 +32,7 @@ from .errors import (
     RealizationBudgetError,
     RealizationError,
 )
-from .fields import GFTable, PrimePower, make_context, prime_power, table_for
+from .fields import GFTable, PrimePower, _Frozen, _set, make_context, prime_power, table_for
 from .linalg import (
     Matrix,
     _eliminate,
@@ -52,14 +51,25 @@ from .linalg import (
 from .upoly import MonicPoly, factor_into_u_irreducibles, poly_mul, poly_one
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(_Frozen):
     """Hard caps for the search strategies."""
 
-    entry_scan: int = 10**8        # cap on q^(2 n^2) for entrywise filtering
-    group_order: int = 2 * 10**6   # cap on materialized group order
-    reversing_scan: int = 10**7    # cap on nodes of the unitary reverser search
-    realize_scan: int = 200_000    # cap on invariant-form search candidates
+    __slots__ = ("entry_scan", "group_order", "reversing_scan", "realize_scan")
+
+    def __init__(
+        self,
+        entry_scan: int = 10**8,        # cap on q^(2 n^2) for entrywise filtering
+        group_order: int = 2 * 10**6,   # cap on materialized group order
+        reversing_scan: int = 10**7,    # cap on nodes of the unitary reverser search
+        realize_scan: int = 200_000,    # cap on invariant-form search candidates
+    ):
+        _set(self, "entry_scan", entry_scan)
+        _set(self, "group_order", group_order)
+        _set(self, "reversing_scan", reversing_scan)
+        _set(self, "realize_scan", realize_scan)
+
+    def _key(self):
+        return (self.entry_scan, self.group_order, self.reversing_scan, self.realize_scan)
 
     @staticmethod
     def uniform(value: int) -> "Budgets":
@@ -74,19 +84,21 @@ class Budgets:
 DEFAULT_BUDGETS = Budgets()
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(_Frozen):
     """Invertible matrix J with conj-transpose(J) = J."""
 
-    q: PrimePower
-    gram: Matrix
+    __slots__ = ("q", "gram")
 
-    def __post_init__(self):
-        F = table_for(self.q)
-        if not is_hermitian(F, self.gram):
+    def __init__(self, q: PrimePower, gram: Matrix):
+        F = table_for(q)
+        if not is_hermitian(F, gram):
             raise ValueError("gram matrix is not Hermitian")
-        if mat_det(F, self.gram) == 0:
+        if mat_det(F, gram) == 0:
             raise ValueError("gram matrix is singular")
+        _set(self, "q", q)
+        _set(self, "gram", gram)
+
+    def _key(self): return (self.q, self.gram)
 
     @property
     def n(self) -> int:
@@ -192,7 +204,6 @@ def _times(x: tuple, table: list) -> tuple:
     return tuple([table[r] for r in x])
 
 
-@dataclass
 class GroupEnumeration:
     """A fully materialized unitary group for a fixed form, kept as its
     closure found it.
@@ -203,14 +214,13 @@ class GroupEnumeration:
     inverse[i] the index of element i^(-1).  elements decodes every code.
     """
 
-    form: HermitianForm
-    generators: tuple
-    strategy: str
-    codec: _RowCodes = field(repr=False, compare=False)
-    codes: list = field(repr=False)
-    index: dict = field(repr=False, compare=False)
-    right: list = field(repr=False, compare=False)
-    inverse: list = field(repr=False, compare=False)
+    def __init__(
+        self, form: HermitianForm, generators: tuple, strategy: str,
+        codec: _RowCodes, codes: list, index: dict, right: list, inverse: list,
+    ):
+        self.form, self.generators, self.strategy = form, generators, strategy
+        self.codec, self.codes, self.index = codec, codes, index
+        self.right, self.inverse = right, inverse
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -947,12 +957,20 @@ def is_real_oracle(
 # reconciliation
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    datum: ClassDatum
-    oracle_real: bool | None  # None when every strategy ran out of budget
-    oracle_strongly_real: bool | None
-    verdict: classify.Verdict
+class ClassRecord(_Frozen):
+    __slots__ = ("datum", "oracle_real", "oracle_strongly_real", "verdict")
+
+    def __init__(
+        self, datum: ClassDatum,
+        oracle_real: bool | None,  # None when every strategy ran out of budget
+        oracle_strongly_real: bool | None, verdict: classify.Verdict,
+    ):
+        _set(self, "datum", datum)
+        _set(self, "oracle_real", oracle_real)
+        _set(self, "oracle_strongly_real", oracle_strongly_real)
+        _set(self, "verdict", verdict)
+
+    def _key(self): return (self.datum, self.oracle_real, self.oracle_strongly_real, self.verdict)
 
     @property
     def classifier_real(self) -> bool:
@@ -985,15 +1003,26 @@ class ClassRecord:
         }
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    n: int
-    q: PrimePower
-    strategy: str
-    group_order: int | None
-    records: tuple[ClassRecord, ...]
-    elapsed_ms: int
-    budgets: Budgets
+class OracleReport(_Frozen):
+    __slots__ = ("n", "q", "strategy", "group_order", "records", "elapsed_ms", "budgets")
+
+    def __init__(
+        self, n: int, q: PrimePower, strategy: str, group_order: int | None,
+        records: tuple[ClassRecord, ...], elapsed_ms: int, budgets: Budgets,
+    ):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "strategy", strategy)
+        _set(self, "group_order", group_order)
+        _set(self, "records", records)
+        _set(self, "elapsed_ms", elapsed_ms)
+        _set(self, "budgets", budgets)
+
+    def _key(self):
+        return (
+            self.n, self.q, self.strategy, self.group_order, self.records,
+            self.elapsed_ms, self.budgets,
+        )
 
     @property
     def disagreements(self):

@@ -14,7 +14,6 @@ fixed by tilde is called self-conjugate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (
@@ -23,21 +22,25 @@ from .errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from .fields import FieldCtx, PrimePower, make_context, table_for
+from .fields import FieldCtx, PrimePower, _Frozen, _set, make_context, table_for
 
 SELF_CONJ_ENUM_BOUND = 10**7
 
 
-@dataclass(frozen=True)
-class MonicPoly:
+class MonicPoly(_Frozen):
     """Monic polynomial over a GF(q^2) context.
 
     coeffs holds c_0 .. c_(d-1) as packed field ints, low degree first; the
     leading coefficient 1 is implicit.  The empty tuple is the constant 1.
     """
 
-    ctx: FieldCtx
-    coeffs: tuple[int, ...]
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+        _set(self, "ctx", ctx)
+        _set(self, "coeffs", coeffs)
+
+    def _key(self): return (self.ctx, self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -131,12 +134,16 @@ def poly_exact_div(u: MonicPoly, f: MonicPoly) -> MonicPoly | None:
     return MonicPoly(u.ctx, tuple(quot[:-1]))
 
 
-@dataclass(frozen=True)
-class UIrreducible:
+class UIrreducible(_Frozen):
     """A U-irreducible polynomial with a descriptor of its root orbit."""
 
-    poly: MonicPoly
-    orbit_rep: int
+    __slots__ = ("poly", "orbit_rep")
+
+    def __init__(self, poly: MonicPoly, orbit_rep: int):
+        _set(self, "poly", poly)
+        _set(self, "orbit_rep", orbit_rep)
+
+    def _key(self): return (self.poly, self.orbit_rep)
 
     @property
     def degree(self) -> int:

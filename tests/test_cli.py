@@ -411,13 +411,15 @@ for argv in sys.argv[1:]:
         code = main(argv.split())
     layers = [m for m in ("strongreal.counting", "strongreal.oracle", "strongreal.linalg") if m in sys.modules]
     loaded.append([argv, code, layers])
+loaded.append(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 print(json.dumps(loaded))
 """
 
 
 def test_only_verify_imports_the_oracle():
     # the verbs without matrices load neither oracle nor linalg, and classify
-    # loads no counting either, in one process
+    # loads no counting either, in one process; no verb loads dataclasses or
+    # inspect, whose import every process would pay for
     verbs = [
         "classify --q 3 --unipotent 2,2",
         "count --q 3 --n-max 2",
@@ -436,6 +438,7 @@ def test_only_verify_imports_the_oracle():
     assert loaded[4] == [
         verbs[4], 0, ["strongreal.counting", "strongreal.oracle", "strongreal.linalg"]
     ]
+    assert loaded[5] == []
 
 
 def test_submodule_resolves_after_a_bare_import():
@@ -553,22 +556,22 @@ def test_usage_errors_exit_one(capsys):
 def test_verify_disagreement_exit_two(monkeypatch, capsys):
     # a contradiction between a decided verdict and the oracle must exit 2;
     # only reachable by tampering with a record, since the real runs agree
-    import dataclasses
-
     import strongreal.oracle as oracle
 
     true_reconcile = oracle.reconcile
 
     def tampered(n, q, budgets=None):
-        report = true_reconcile(n, q, budgets)
-        records = list(report.records)
+        r = true_reconcile(n, q, budgets)
+        records = list(r.records)
         for i, rec in enumerate(records):
             if rec.verdict.decided and rec.oracle_strongly_real is not None:
-                records[i] = dataclasses.replace(
-                    rec, oracle_strongly_real=not rec.oracle_strongly_real
+                records[i] = oracle.ClassRecord(
+                    rec.datum, rec.oracle_real, not rec.oracle_strongly_real, rec.verdict
                 )
                 break
-        return dataclasses.replace(report, records=tuple(records))
+        return oracle.OracleReport(
+            r.n, r.q, r.strategy, r.group_order, tuple(records), r.elapsed_ms, r.budgets
+        )
 
     monkeypatch.setattr(oracle, "reconcile", tampered)
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "1")
