@@ -402,6 +402,11 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.deg}), k={self.k})"
 
+    def __reduce__(self):
+        # contexts compare by identity, so a copy or an unpickled context is
+        # the cached one, and values over it stay equal to their originals
+        return make_context, (self.pp, self.k)
+
 
 @lru_cache(maxsize=None)
 def make_context(pp: PrimePower, k: int) -> FieldCtx:

@@ -769,8 +769,34 @@ def reversing_space(F: GFTable, g: Matrix):
     return [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)) for vec in kernel]
 
 
+def _columns_confined(F: GFTable, basis, n: int) -> bool:
+    """Whether the span of basis has no invertible member because too many
+    columns share one span.  Column k of every member lies in P_k, the span
+    of column k over the basis matrices.  If more than dim V of the P_k lie
+    in one subspace V, those columns of every member are dependent.  V runs
+    over each P_j and over their sum, which holds all n of them: the sum
+    alone is the plain rank test."""
+    spans = []
+    for k in range(n):
+        rows = [[B[r][k] for r in range(n)] for B in basis]
+        spans.append(rows[: len(_eliminate(F, rows))])
+    rows = [list(v) for P in spans for v in P]
+    spans.append(rows[: len(_eliminate(F, rows))])
+    for V in spans:
+        d = len(V)
+        if d < n and sum(len(P) <= d and mat_rank(F, V + P) == d for P in spans[:n]) > d:
+            return True
+    return False
+
+
 def _unitary_members(
-    F: GFTable, basis, J: Matrix, budget: int, coeffs=None, involutions: bool = False
+    F: GFTable,
+    basis,
+    J: Matrix,
+    budget: int,
+    coeffs=None,
+    involutions: bool = False,
+    tally: bool = False,
 ):
     """Members h of the GF(q^2)-span of basis with h* J h = J, lazily.
 
@@ -798,12 +824,17 @@ def _unitary_members(
     of q^2.  For (J v)[j] = 0 it does not involve c: an r with (J r)[j]
     outside GF(q) is one node, and any other r keeps all its candidates.
 
-    Every member's columns lie in the span of the columns of the basis
-    matrices.  When that span is smaller than F^n no member is invertible,
-    let alone unitary, and the search ends before its first node.
+    With tally, the walk yields, in place of the members, how many it found
+    at each step of the last column, and builds none of them: the sum is the
+    member count, and where the walk raises it is the number of members it
+    would have yielded first.  Nodes are counted as without tally.
+
+    When _columns_confined finds too many columns sharing one span, no
+    member is invertible, let alone unitary, and the search ends before its
+    first node.
     """
     n = len(J)
-    if mat_rank(F, [col for B in basis for col in zip(*B)]) < n:
+    if _columns_confined(F, basis, n):
         return
     if n == 0:  # the 0 x 0 matrix, which has no last column to yield at
         yield ()
@@ -883,7 +914,7 @@ def _unitary_members(
             diagonal = dot(units[j], x)
             if dot(x, x) == J[j][j] and (not involutions or conj[diagonal] == diagonal):
                 if last:
-                    yield tuple(zip(*cols, x))
+                    yield 1 if tally else tuple(zip(*cols, x))
                 else:
                     yield from walk(cols + [x])
             return
@@ -900,12 +931,22 @@ def _unitary_members(
                 elif conj[alpha] != alpha:
                     count(1)
                     continue
+            found = solutions(w, dot(r, v)).get(sub(J[j][j], dot(r, r)), ())
+            if places is not None:
+                found = [(places[c], c) for _, c in found if c in places]
+            if tally and last:
+                # the solving c whose candidates come within budget
+                within = 0
+                for i, _ in found:
+                    if nodes + i + 1 > budget:
+                        break
+                    within += 1
+                if within:
+                    yield within
+                count(size)
+                continue
             done = 0
-            for i, c in solutions(w, dot(r, v)).get(sub(J[j][j], dot(r, r)), ()):
-                if places is not None:
-                    i = places.get(c)
-                    if i is None:
-                        continue
+            for i, c in found:
                 # the candidates done .. i - 1 of this block fail the norm
                 count(i + 1 - done)
                 done = i + 1
@@ -1106,7 +1147,9 @@ def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, 
     with the classifier.  Each walk has a budget of its own.  Every partial
     member the Hermitian walk extends, the full walk extends too, through
     at least as many nodes, so where the Hermitian walk runs out the full
-    walk does as well.
+    walk does as well.  Each reverser costs the full walk a node, so when
+    |C(g)| is over budget a walk that finds one cannot drain: it stops at
+    the first, which proves reality as the raise after it would.
     """
     walk = _reverser_walk(g, form, budgets)
     try:
@@ -1115,16 +1158,17 @@ def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, 
         strong = False
     except BudgetExceededError:
         strong = None
+    order = centralizer_order(datum)
     leaves = 0
     try:
-        for _ in walk():
-            leaves += 1
+        if order > budgets.reversing_scan:
+            return next(walk(), None) is not None, strong
+        for found in walk(tally=True):
+            leaves += found
     except BudgetExceededError:
         return (True if leaves else None), strong
-    if leaves and leaves != centralizer_order(datum):
-        raise CountMismatchError(
-            f"{leaves} unitary reversers of {datum}, expected {centralizer_order(datum)}"
-        )
+    if leaves and leaves != order:
+        raise CountMismatchError(f"{leaves} unitary reversers of {datum}, expected {order}")
     return leaves > 0, strong
 
 

@@ -15,7 +15,15 @@ from strongreal.classify import UNKNOWN, strongly_real
 from strongreal.counting import enumerate_class_data
 from strongreal.errors import BudgetExceededError, CountMismatchError
 from strongreal.fields import PrimePower, make_context, prime_power, table_for
-from strongreal.linalg import conj_transpose, identity, is_unitary, mat_inv, mat_mul, nullspace
+from strongreal.linalg import (
+    conj_transpose,
+    identity,
+    is_unitary,
+    mat_inv,
+    mat_mul,
+    mat_rank,
+    nullspace,
+)
 from strongreal import oracle
 from strongreal.oracle import (
     Budgets,
@@ -289,24 +297,103 @@ def test_witnesses_use_the_hermitian_walk():
 def test_exhaustion_is_recorded_not_guessed_u35():
     # at reversing_scan = 1000 the Hermitian walk cannot drain (2,1) at
     # t - 1 and t + 1, so strong reality stays undecided, and the full walk
-    # runs out after its first reverser; the non-real classes whose full
-    # walk runs out become (None, False): no involution reverses them, but
-    # reality is not known from the walk
+    # stops at its first reverser.  The 4 non-real classes (1) + (1,1) at
+    # two degree-1 U-irreducibles other than t -+ 1, whose walks run out
+    # under the plain rank test, end before their first node: two columns
+    # share a 1-dimensional span, so they are decided (False, False)
     budgets = Budgets(entry_scan=10, group_order=10, reversing_scan=1000, realize_scan=200000)
     report = reconcile(3, 5, budgets)
     assert report.strategy == "representatives"
     assert not report.disagreements
     pp = prime_power(5)
+    F = table_for(pp)
     ctx2 = make_context(pp, 2)
     plus_minus_one = {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, 4)}
     verdicts = {(r.oracle_real, r.oracle_strongly_real) for r in report.undecided}
-    assert verdicts == {(True, None), (None, False)}
+    assert verdicts == {(True, None)}
     open_strong = [r for r in report.undecided if r.oracle_strongly_real is None]
     assert sorted(mu.parts for r in open_strong for _, mu in r.datum.blocks) == [(2, 1)] * 2
     assert {r.datum.blocks[0][0] for r in open_strong} == plus_minus_one
-    open_real = [r for r in report.undecided if r.oracle_real is None]
-    assert len(open_real) == 4
-    assert not any(r.classifier_real for r in open_real)
+    # the polynomials t + a, a = 5, 24, 6, 20 in GF(25) (coordinates
+    # [0, 1], [4, 4], [1, 1], [0, 4])
+    a, b, c, e = (u_irreducible_lookup(pp, monic_poly(ctx2, (x,))) for x in (5, 24, 6, 20))
+    once_open = [
+        class_datum(pp, {f: partition(mu), h: partition(nu)})
+        for f, h in ((a, b), (c, e))
+        for mu, nu in (([1], [1, 1]), ([1, 1], [1]))
+    ]
+    records = {r.datum: r for r in report.records}
+    for d in once_open:
+        assert not records[d].classifier_real
+        assert (records[d].oracle_real, records[d].oracle_strongly_real) == (False, False)
+        basis = reversing_space(F, _block_representative(d, identity_form(3, pp), budgets, {}))
+        assert mat_rank(F, [col for B in basis for col in zip(*B)]) == 3
+        assert drain_nodes(F, basis, identity(3), 0, False) == 0
+
+
+def test_a_walk_out_of_budget_before_any_reverser_stays_undecided():
+    # (3) at t + 1 plus (1) at t + w and at t + w^2 in U(5, F_2) is real and
+    # not strongly real.  Its Hermitian walk drains in 12 nodes; the full
+    # walk meets its first reverser at node 14.  At 12 and 13 nodes no
+    # involution reverses it, but reality is not known from the walk
+    pp = prime_power(2)
+    ctx2 = make_context(pp, 2)
+    one, w, w2 = (u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (1, 2, 3))
+    d = class_datum(pp, {one: partition([3]), w: partition([1]), w2: partition([1])})
+    assert is_real(d)
+    form = identity_form(5, pp)
+    g = _block_representative(d, form, Budgets(), {})
+    expected = {11: (None, None), 12: (None, False), 13: (None, False), 14: (True, False)}
+    for budget, record in expected.items():
+        budgets = Budgets(reversing_scan=budget)
+        assert _representative_verdicts(g, d, form, budgets) == record, budget
+        assert reference_representative_verdicts(g, d, form, budgets) == record, budget
+
+
+def test_full_walk_stops_at_its_first_reverser_past_budget(monkeypatch):
+    # (2,1,1) at t - 1 in U(4, F_3) has |C| = 93,312 unitary reversers, more
+    # than a budget of 20,000 nodes can count, so the full walk stops at its
+    # first reverser: the record of the reference, which counts until it
+    # runs out.  Its Hermitian walk drains in 2,187 nodes without an
+    # involution
+    pp = prime_power(3)
+    one = u_irreducible_lookup(pp, monic_poly(make_context(pp, 2), (2,)))
+    d = class_datum(pp, {one: partition([2, 1, 1])})
+    assert centralizer_order(d) == 93312
+    form = identity_form(4, pp)
+    g = _block_representative(d, form, Budgets(), {})
+    budgets = Budgets.uniform(20000)
+    tallied = []
+    real = oracle._unitary_members
+
+    def spy(*args, tally=False, **kwargs):
+        tallied.append(tally)
+        return real(*args, tally=tally, **kwargs)
+
+    monkeypatch.setattr(oracle, "_unitary_members", spy)
+    record = _representative_verdicts(g, d, form, budgets)
+    assert record == reference_representative_verdicts(g, d, form, budgets) == (True, False)
+    assert tallied == [False, False]
+
+
+def test_non_real_u72_records_end_before_their_first_node():
+    # (1,1,1) at t + w plus (1,1,1,1) at t + w^2, and its mirror: the
+    # representative is diagonal, and columns of one eigenvalue share one
+    # span, 3-dimensional for the 4 columns of the larger block.  Both walks
+    # end at 0 nodes; the full walk alone would run past 10^7 nodes
+    pp = prime_power(2)
+    F = table_for(pp)
+    ctx2 = make_context(pp, 2)
+    w, w2 = (u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (2, 3))
+    form = identity_form(7, pp)
+    for a, b in ((w, w2), (w2, w)):
+        d = class_datum(pp, {a: partition([1, 1, 1]), b: partition([1, 1, 1, 1])})
+        assert not is_real(d)
+        g = _block_representative(d, form, Budgets(), {})
+        assert _representative_verdicts(g, d, form, Budgets()) == (False, False)
+        basis = reversing_space(F, g)
+        for involutions in (False, True):
+            assert drain_nodes(F, basis, form.gram, 0, involutions) == 0
 
 
 def unipotent_at_one(parts):

@@ -4,6 +4,7 @@ scan it replaced, and the column-by-column search for the unitary members
 of a matrix space, against the reversing-space scan it replaced and against
 its own form before the norm solve."""
 
+import functools
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from strongreal.linalg import (
 from strongreal.oracle import (
     DEFAULT_BUDGETS,
     Budgets,
+    _block_representative,
     _eliminate,
     _entrywise_members,
     _first_nondegenerate,
@@ -317,8 +319,8 @@ def ends_before_first_node(F, basis, gram):
 def test_column_search_matches_reference_scan(q, n):
     # every realized class whose reversing space has at most 10^5 members:
     # the same unitary reversers and the same unitary involutions, and none
-    # at all wherever the rank certificate ends the search before its first
-    # node
+    # at all wherever the column-span certificate ends the search before
+    # its first node
     pp = prime_power(q)
     F = table_for(pp)
     form = identity_form(n, pp)
@@ -362,13 +364,32 @@ def test_dense_first_search_matches_counter_order(q, n):
 
 
 def test_rank_certificate_reads_the_column_span():
-    # neither space has an invertible member; only the first has its
-    # columns in a proper subspace (e_1), so only it ends before a node
+    # no space here has an invertible member.  [e11, e12] has both columns
+    # in e_1, the plain rank test; [e11, e21] has a zero second column.  The
+    # reversing space of diag(w I_3, w^2 I_4) in U(7, F_2) has columns
+    # spanning F^7 together, so the rank test misses it, but columns 3-6 of
+    # every member lie in one 3-dimensional span.  The 3 x 3 alternating
+    # matrices over F_3, singular by their odd size, have three 2-dimensional
+    # column spans, none inside another: the walk searches them
     F = table_for(PrimePower(3))
     e11, e12, e21 = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0))
     assert ends_before_first_node(F, [e11, e12], identity(2))
-    assert not ends_before_first_node(F, [e11, e21], identity(2))
-    assert list(_unitary_members(F, [e11, e21], identity(2), 10**4)) == []
+    assert ends_before_first_node(F, [e11, e21], identity(2))
+    pp = prime_power(2)
+    F2 = table_for(pp)
+    ctx2 = make_context(pp, 2)
+    w, w2 = (u_irreducible_lookup(pp, monic_poly(ctx2, (c,))) for c in (2, 3))
+    d = class_datum(pp, {w: partition([1, 1, 1]), w2: partition([1, 1, 1, 1])})
+    basis = reversing_space(F2, _block_representative(d, identity_form(7, pp), Budgets(), {}))
+    assert mat_rank(F2, [col for B in basis for col in zip(*B)]) == 7
+    assert ends_before_first_node(F2, basis, identity(7))
+    alternating = [  # E_ij - E_ji for i < j, with 2 = -1
+        ((0, 1, 0), (2, 0, 0), (0, 0, 0)),
+        ((0, 0, 1), (0, 0, 0), (2, 0, 0)),
+        ((0, 0, 0), (0, 0, 1), (0, 2, 0)),
+    ]
+    assert not ends_before_first_node(F, alternating, identity(3))
+    assert list(_unitary_members(F, alternating, identity(3), 10**4)) == []
 
 
 def reference_unitary_members(F, basis, J, budget, coeffs=None):
@@ -442,16 +463,61 @@ def until_budget(search, *args):
 )
 def test_norm_solve_matches_reference_search(q, n):
     # every realized class on every standard form, from a budget of one
-    # node up: the same members in the same order, and the same raise
+    # node up: the same members in the same order, and the same raise.
+    # The reference has only the plain rank test, so where the column-span
+    # test ends the walk before its first node, the reference drained must
+    # find no member
     pp = prime_power(q)
     F = table_for(pp)
     for form in standard_forms(n, pp):
         for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
             basis = reversing_space(F, realize_class(d, form))
+            certified = ends_before_first_node(F, basis, form.gram)
+            if certified:
+                assert list(reference_unitary_members(F, basis, form.gram, math.inf)) == []
             for budget in (1, 50, 777, 20000):
-                assert until_budget(_unitary_members, F, basis, form.gram, budget) == until_budget(
-                    reference_unitary_members, F, basis, form.gram, budget
+                outcome = until_budget(_unitary_members, F, basis, form.gram, budget)
+                reference = until_budget(reference_unitary_members, F, basis, form.gram, budget)
+                assert outcome == (([], False) if certified else reference)
+                assert outcome[0] == reference[0]
+
+
+def until_budget_tally(F, basis, J, budget, involutions):
+    """The member count the walk tallies, and whether it then raised."""
+    total = 0
+    try:
+        for found in _unitary_members(F, basis, J, budget, involutions=involutions, tally=True):
+            total += found
+    except BudgetExceededError:
+        return total, True
+    return total, False
+
+
+@pytest.mark.parametrize(
+    "q,n", [(3, n) for n in (1, 2, 3, 4)] + [(5, 3)] + [(2, n) for n in (1, 2, 3, 4, 5)]
+)
+def test_tally_counts_the_members_the_walk_yields(q, n):
+    # every class on its block-sum representative, in both modes, at
+    # budgets from one node up: the tallied total is the number of members
+    # yielded, and the walk raises at the same budgets
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    blocks = {}
+    raised = drained = 0
+    for d in enumerate_class_data(n, pp, max_n=n, max_q=q):
+        basis = reversing_space(F, _block_representative(d, form, Budgets(), blocks))
+        for involutions in (False, True):
+            for budget in (1, 50, 777, 20000):
+                members, ran_out = until_budget(
+                    functools.partial(_unitary_members, involutions=involutions),
+                    F, basis, form.gram, budget,
                 )
+                tally = until_budget_tally(F, basis, form.gram, budget, involutions)
+                assert tally == (len(members), ran_out), (d, involutions, budget)
+                raised += ran_out
+                drained += bool(members) and not ran_out
+    assert raised and drained
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7) for n in (1, 2)] + [(2, 3)])

@@ -2,6 +2,7 @@
 hashing, immutability, validation, ordering and repr."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -159,3 +160,17 @@ def test_group_enumeration_is_a_plain_mutable_class():
     assert group == group and group != enumerate_group(1, Q3)
     group.strategy = "relabelled"
     assert group.strategy == "relabelled"
+
+
+def test_deep_copies_and_pickles_keep_the_cached_field_context():
+    # contexts compare by identity: a copied or unpickled value must be
+    # built over the one context make_context caches, or it is unequal
+    ctx = make_context(Q3, 2)
+    f = t_minus_one(Q3)
+    values = [MonicPoly(ctx, (1, 2)), f, unipotent_datum(Q3, Partition((2, 1)))]
+    for value in values:
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+    assert copy.deepcopy(ctx) is ctx
+    assert pickle.loads(pickle.dumps(ctx)) is ctx
+    assert copy.deepcopy(f).poly.ctx is f.poly.ctx
