@@ -38,18 +38,23 @@ RULE_NS2_2 = "notstrong2-2"
 RULE_SPCOR = "SpCor"
 
 class Verdict(_Frozen):
-    __slots__ = ("status", "rule", "witness_hint")
+    __slots__ = ("status", "rule", "witness")
 
-    def __init__(self, status: str, rule: str | None = None, witness_hint: dict | None = None):
+    def __init__(self, status: str, rule: str | None = None, witness=None):
         if status not in (STRONGLY_REAL, NOT_STRONGLY_REAL, UNKNOWN):
             raise ValueError(f"bad status {status!r}")
         if status != UNKNOWN and not rule:
             raise ValueError("decided verdicts must cite a rule")
         _set(self, "status", status)
         _set(self, "rule", rule)
-        _set(self, "witness_hint", witness_hint)
+        # a dict or (key, value) pairs, kept as pairs in key order so that verdicts hash
+        _set(self, "witness", None if witness is None else tuple(sorted(dict(witness).items())))
 
-    def _key(self): return (self.status, self.rule, self.witness_hint)
+    def _key(self): return (self.status, self.rule, self.witness)
+
+    @property
+    def witness_hint(self) -> dict | None:
+        return None if self.witness is None else dict(self.witness)
 
     @property
     def decided(self) -> bool:
@@ -78,16 +83,12 @@ def _even_part_odd_mult(mu: Partition):
 def orthogonal_embeddable(d: ClassDatum) -> bool:
     """Real, and every even part at t-1 and t+1 has even multiplicity (q odd).
 
-    These are exactly the classes meeting an embedded orthogonal group.
+    These are exactly the classes meeting an embedded orthogonal group, and
+    by MainThm exactly the strongly real ones, which is how it is decided.
     """
     if d.q.p == 2:
         raise ValueError("orthogonal embedding criterion requires odd q")
-    if not is_real(d):
-        return False
-    for f in (t_minus_one(d.q), t_plus_one(d.q)):
-        if _even_part_odd_mult(d.partition_at(f)) is not None:
-            return False
-    return True
+    return strongly_real(d).status == STRONGLY_REAL
 
 
 def symplectic_embeddable_even_q(d: ClassDatum) -> bool:
@@ -100,10 +101,12 @@ def symplectic_embeddable_even_q(d: ClassDatum) -> bool:
         raise ValueError("symplectic embedding criterion requires even q")
     if d.n % 2:
         raise ValueError("symplectic embedding criterion requires even dimension")
-    if not is_real(d):
-        return False
-    mu = d.partition_at(t_minus_one(d.q))
-    return all(m % 2 == 0 for p, m in mu.multiplicities().items() if p % 2 == 1 and p >= 3)
+    return is_real(d) and _odd_parts_paired(d.partition_at(t_minus_one(d.q)), 3)
+
+
+def _odd_parts_paired(mu: Partition, least: int) -> bool:
+    """Every odd part >= least has even multiplicity."""
+    return all(m % 2 == 0 for p, m in mu.multiplicities().items() if p % 2 == 1 and p >= least)
 
 
 def _real2_applies(mu: Partition) -> int:
@@ -112,12 +115,9 @@ def _real2_applies(mu: Partition) -> int:
     Branch 1: every odd part >= 3 has even multiplicity.
     Branch 2: part 1 is present and every odd part >= 5 has even multiplicity.
     """
-    mults = mu.multiplicities()
-    if all(m % 2 == 0 for p, m in mults.items() if p % 2 == 1 and p >= 3):
+    if _odd_parts_paired(mu, 3):
         return 1
-    if mults.get(1, 0) >= 1 and all(
-        m % 2 == 0 for p, m in mults.items() if p % 2 == 1 and p >= 5
-    ):
+    if mu.mult(1) >= 1 and _odd_parts_paired(mu, 5):
         return 2
     return 0
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import classify as classify_mod
 from .classdata import (
@@ -201,8 +202,12 @@ def _cmd_verify(args) -> int:
 
     q = prime_power(args.q)
     budgets = _budgets(args)
+    started = time.perf_counter()
     report = reconcile(args.n, q, budgets)
-    payload = report.to_json(include_timing=args.timing)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    payload = report.to_json()
+    if args.timing:
+        payload["elapsed_ms"] = elapsed_ms
     if args.format == "plain":
         print(
             f"U({args.n}, F_{q.q}): {len(report.records)} classes, "

@@ -257,15 +257,11 @@ class FieldCtx:
 
     # -- ring operations on packed ints -------------------------------------
     # a // p^i is congruent to digit i of a (to_coords) mod p, so one % p
-    # gives each digit of a sum, difference or negative
+    # gives each digit of a sum or negative
 
     def add(self, a: int, b: int) -> int:
         p = self.p
         return _pack(p, [(a // w + b // w) % p for w in self._powers])
-
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        return _pack(p, [(a // w - b // w) % p for w in self._powers])
 
     def neg(self, a: int) -> int:
         p = self.p
@@ -294,16 +290,9 @@ class FieldCtx:
             raise ZeroInputError("zero is not invertible")
         return self.pow(a, self.size - 2)
 
-    def frobenius_q(self, a: int, power: int = 1) -> int:
-        """a -> a^(q^power) for q = p^e."""
-        if a == 0:
-            return 0
-        exponent = pow(self.pp.q, power, self.size - 1)
-        return self.pow(a, exponent)
-
     def conj(self, a: int) -> int:
         """The bar map a -> a^q (order 2 on a GF(q^2) context)."""
-        return self.frobenius_q(a, 1)
+        return self.pow(a, self.pp.q)
 
     # -- multiplicative structure -------------------------------------------
 
@@ -452,11 +441,7 @@ class GFTable:
         self.mul = [[0] * n] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la % m] for la in logs]
         self.conj = [0] + [exp[la * ctx.pp.q % m] for la in logs]
-        self.one = 1
         self.base_elems = tuple(a for a in range(n) if self.conj[a] == a)
-        self.norm_one = tuple(
-            a for a in range(1, n) if self.mul[a][self.conj[a]] == 1
-        )
         self.trace_zero = tuple(
             a for a in range(n) if self.add[a][self.conj[a]] == 0
         )

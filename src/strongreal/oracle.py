@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from collections import Counter
 
 from . import classify
@@ -1045,25 +1044,21 @@ class ClassRecord(_Frozen):
 
 
 class OracleReport(_Frozen):
-    __slots__ = ("n", "q", "strategy", "group_order", "records", "elapsed_ms", "budgets")
+    __slots__ = ("n", "q", "strategy", "group_order", "records", "budgets")
 
     def __init__(
         self, n: int, q: PrimePower, strategy: str, group_order: int | None,
-        records: tuple[ClassRecord, ...], elapsed_ms: int, budgets: Budgets,
+        records: tuple[ClassRecord, ...], budgets: Budgets,
     ):
         _set(self, "n", n)
         _set(self, "q", q)
         _set(self, "strategy", strategy)
         _set(self, "group_order", group_order)
         _set(self, "records", records)
-        _set(self, "elapsed_ms", elapsed_ms)
         _set(self, "budgets", budgets)
 
     def _key(self):
-        return (
-            self.n, self.q, self.strategy, self.group_order, self.records,
-            self.elapsed_ms, self.budgets,
-        )
+        return (self.n, self.q, self.strategy, self.group_order, self.records, self.budgets)
 
     @property
     def disagreements(self):
@@ -1073,8 +1068,8 @@ class OracleReport(_Frozen):
     def undecided(self):
         return [r for r in self.records if r.undecided]
 
-    def to_json(self, include_timing: bool = True):
-        out = {
+    def to_json(self):
+        return {
             "n": self.n,
             "q": self.q.to_json(),
             "strategy": self.strategy,
@@ -1089,9 +1084,6 @@ class OracleReport(_Frozen):
                 "reversing_scan": self.budgets.reversing_scan,
             },
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def _conjugation_orbits(group: GroupEnumeration) -> list:
@@ -1282,7 +1274,6 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     """One record per class: oracle reality and strong reality against the
     classifier.  Budget exhaustion is recorded per class, never skipped."""
     pp = q if isinstance(q, PrimePower) else prime_power(q)
-    started = time.perf_counter()
     form = identity_form(n, pp)
     try:
         group = enumerate_group(n, pp, form, budgets)
@@ -1314,7 +1305,4 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
         ),
         key=lambda r: [(f.sort_key(), mu.parts) for f, mu in r.datum.blocks],
     )
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return OracleReport(
-        n, pp, strategy, group_order, tuple(records), elapsed, budgets
-    )
+    return OracleReport(n, pp, strategy, group_order, tuple(records), budgets)

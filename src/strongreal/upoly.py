@@ -329,8 +329,7 @@ def enumerate_self_conjugate(deg: int, q: PrimePower, constant_one_only: bool = 
         )
     F = table_for(q, 2)
     base = F.base_elems
-    one = F.one
-    consts = (one,) if constant_one_only else tuple(c for c in base if c)
+    consts = (1,) if constant_one_only else tuple(c for c in base if c)
     out = []
     # iterate coefficient tuples (c_0 .. c_(deg-1)) in deterministic order
     for c0 in consts:

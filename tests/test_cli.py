@@ -355,6 +355,48 @@ def test_list_filter_output_is_pinned(capsys, which, q):
         assert [len(out.splitlines()) for out in outs] == list(series.coeffs)
 
 
+# SHA-256 of the stdout of each job below, one of each verb but classify,
+# whose stdout CLASSIFY_SHA256 and CLASSIFY_SP_SHA256 pin
+STDOUT_SHA256 = {
+    "count --q 3 --n-max 4": "6311963928cbcb92448bdfc47d6139d5cc3b5504941e9a52518e878535b6f405",
+    "list --q 4 --n 3": "21d59060083e85b61efdf072cea5b48049833d77efcd806a8b7ecf41ea23dfd6",
+    "series --q 3 --order 60 --which T": "f45c72d3c2cf0400537d4338ea2d66d52841d229570b851e137ec038cb4e4aa8",
+    "verify --q 3 --n 2": "8c5eeff3506b3af4db6549e8a5a5da2226781137c443551adee4b049c730a3bc",
+    "realize 3 (2,1)": "1d859a454acc964229dc70d16b5f1a09d49a39c02e4024785afd7e00ba451d87",
+    "realize 2 (3)": "eaa0ac727da6dbbdb21f9cea37554e7ebb52f11126cb4857ce02485aba6ec005",
+    "realize 3 (1)+(2)": "aa45aa0f1cbca84bb0400c5ce05b0d0463751dcaee1a2f08aced77ee511740b1",
+}
+
+# the realize jobs' data: unipotent (2,1) at q = 3, unipotent (3) at q = 2, and
+# (1) at t - 1 plus (2) at a degree-1 U-irreducible other than t +- 1, q = 3
+REALIZE_DATA = {
+    "realize 3 (2,1)": {"q": {"p": 3, "e": 1}, "blocks": [{"poly": [[2, 0]], "partition": [2, 1]}]},
+    "realize 2 (3)": {"q": {"p": 2, "e": 1}, "blocks": [{"poly": [[1, 0]], "partition": [3]}]},
+    "realize 3 (1)+(2)": {
+        "q": {"p": 3, "e": 1},
+        "blocks": [{"poly": [[2, 0]], "partition": [1]}, {"poly": [[0, 1]], "partition": [2]}],
+    },
+}
+
+
+def test_cli_stdout_is_pinned(capsys, tmp_path):
+    def stdout(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        return out
+
+    outs = {}
+    for job in ("count --q 3 --n-max 4", "list --q 4 --n 3", "series --q 3 --order 60 --which T",
+                "verify --q 3 --n 2"):
+        outs[job] = stdout(*job.split())
+    for job, datum in REALIZE_DATA.items():
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum))
+        outs[job] = stdout("realize", "--q", job.split()[1], "--datum", str(path))
+    digests = {job: hashlib.sha256(out.encode()).hexdigest() for job, out in outs.items()}
+    assert digests == STDOUT_SHA256
+
+
 def test_list_unknown_filter_is_a_usage_error(capsys):
     code, out, err = run(capsys, "list", "--q", "3", "--n", "2", "--filter", "bogus")
     assert code == 1 and out == ""
@@ -570,7 +612,7 @@ def test_verify_disagreement_exit_two(monkeypatch, capsys):
                 )
                 break
         return oracle.OracleReport(
-            r.n, r.q, r.strategy, r.group_order, tuple(records), r.elapsed_ms, r.budgets
+            r.n, r.q, r.strategy, r.group_order, tuple(records), r.budgets
         )
 
     monkeypatch.setattr(oracle, "reconcile", tampered)

@@ -5,19 +5,11 @@ import pytest
 from strongreal.errors import ExtensionTooLargeError, ZeroInputError
 from strongreal.fields import FieldCtx, PrimePower, make_context, prime_power, table_for
 
+from field_helpers import embed_from, frobenius, norm_one, u_frob
+
 PP2 = PrimePower(2)
 PP3 = PrimePower(3)
 PP5 = PrimePower(5)
-
-
-def u_frob(ctx, a):
-    """The twisted map a -> a^(-q); ZeroInputError at 0."""
-    return ctx.inv(ctx.conj(a))
-
-
-def embed_from(host, sub):
-    """Packed-value dict from the subfield `sub` into `host`."""
-    return {v: k for k, v in host.subfield_map(sub).items()}
 
 
 def brute_irreducibles(p, deg):
@@ -157,7 +149,7 @@ def test_frobenius_is_field_automorphism_of_order_two():
 def test_frobenius_fixes_base_field():
     base = make_context(PP3, 1)
     for a in range(3):
-        assert base.frobenius_q(a, 5) == a
+        assert frobenius(base, a, 5) == a
 
 
 def test_frobenius_on_primitive_element_is_cube():
@@ -165,7 +157,7 @@ def test_frobenius_on_primitive_element_is_cube():
     g = ctx.generator()
     # direct exponentiation oracle
     cube = ctx.mul(ctx.mul(g, g), g)
-    assert ctx.frobenius_q(g, 1) == cube
+    assert frobenius(ctx, g, 1) == cube
 
 
 def test_u_frobenius_examples():
@@ -185,7 +177,7 @@ def test_u_frobenius_twice_is_q_squared_power():
     for pp in (PP2, PP3):
         ctx = make_context(pp, 2)
         for a in range(1, ctx.size):
-            assert u_frob(ctx, u_frob(ctx, a)) == ctx.frobenius_q(a, 2)
+            assert u_frob(ctx, u_frob(ctx, a)) == frobenius(ctx, a, 2)
 
 
 def test_norm_lands_in_base_and_is_conj_fixed():
@@ -223,7 +215,6 @@ def test_field_ctx_operators():
     a, b = 3, 5
     assert ctx.add(a, b) == ctx.add(b, a)
     assert ctx.mul(a, b) == ctx.mul(b, a)
-    assert ctx.sub(a, a) == 0
     assert ctx.mul(a, ctx.inv(a)) == 1
     assert ctx.add(ctx.neg(a), a) == 0
     assert ctx.pow(a, 8) == 1
@@ -232,7 +223,7 @@ def test_field_ctx_operators():
 
 
 def reference_digitwise(ctx, a, b, op):
-    """The per-digit loop FieldCtx.add/sub/neg replaced: op on each pair of
+    """The per-digit loop FieldCtx.add/neg replaced: op on each pair of
     base-p digits, low digit first."""
     p = ctx.p
     out = 0
@@ -254,7 +245,6 @@ def test_add_sub_neg_match_digitwise_reference(p, deg):
     for _ in range(1000):
         a, b = rng.randrange(ctx.size), rng.randrange(ctx.size)
         assert ctx.add(a, b) == reference_digitwise(ctx, a, b, lambda x, y: (x + y) % p)
-        assert ctx.sub(a, b) == reference_digitwise(ctx, a, b, lambda x, y: (x - y) % p)
         assert ctx.neg(a) == reference_digitwise(ctx, a, 0, lambda x, _: -x % p)
 
 
@@ -294,10 +284,10 @@ def test_table_structure():
     for pp in (PP2, PP3, PP5):
         F = table_for(pp)
         q = pp.q
-        assert len(F.norm_one) == q + 1
+        assert len(norm_one(F)) == q + 1
         assert len(F.base_elems) == q
         assert len(F.trace_zero) == q
-        assert F.mul[F.one][F.one] == 1
+        assert F.mul[1][1] == 1
         for a in range(1, F.size):
             assert F.mul[a][F.inv[a]] == 1
 
@@ -312,7 +302,7 @@ def test_tables_match_schoolbook_arithmetic(q, k):
     n = ctx.size
     assert F.mul == [[ctx.mul(a, b) for b in range(n)] for a in range(n)]
     assert F.inv == [0] + [ctx.inv(a) for a in range(1, n)]
-    assert F.conj == [ctx.frobenius_q(a, 1) for a in range(n)]
+    assert F.conj == [frobenius(ctx, a, 1) for a in range(n)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -31,6 +31,8 @@ from strongreal.oracle import (
     unitary_order,
 )
 
+from field_helpers import norm_one
+
 # A table has q^(2n) rows, so the shapes stop at 20000 rows.  That covers
 # every shape whose group fits the default order budget: U(2, F_q) up to
 # q = 37, U(3, F_q) up to q = 4, and U(4, F_2).
@@ -242,10 +244,10 @@ def reference_closure_seeds(F, n, u2_elements):
     for pos in range(n - 1):
         for m2 in u2_elements:
             seeds.add(embed_block(n, m2, pos))
-    for diag in itertools.product(F.norm_one, repeat=n):
+    for diag in itertools.product(norm_one(F), repeat=n):
         seeds.add(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
     for perm in itertools.permutations(range(n)):
-        for scalars in itertools.product(F.norm_one, repeat=n):
+        for scalars in itertools.product(norm_one(F), repeat=n):
             seeds.add(
                 tuple(tuple(scalars[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
             )

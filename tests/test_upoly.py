@@ -25,19 +25,11 @@ from strongreal.upoly import (
     u_irreducible_lookup,
 )
 
+from field_helpers import embed_from, norm_one, u_frob
+
 PP2 = PrimePower(2)
 PP3 = PrimePower(3)
 PP5 = PrimePower(5)
-
-
-def u_frob(ctx, a):
-    """The twisted map a -> a^(-q); ZeroInputError at 0."""
-    return ctx.inv(ctx.conj(a))
-
-
-def embed_from(host, sub):
-    """Packed-value dict from the subfield `sub` into `host`."""
-    return {v: k for k, v in host.subfield_map(sub).items()}
 
 
 def u_orbit(ctx, a):
@@ -300,7 +292,7 @@ def test_factor_f_times_tilde_f():
 def test_factor_rejects_non_u_products():
     ctx = make_context(PP3, 2)
     F = table_for(PP3)
-    bad_root = next(a for a in range(1, 9) if a not in F.norm_one)
+    bad_root = next(a for a in range(1, 9) if a not in norm_one(F))
     with pytest.raises(NotUFactorableError):
         factor_into_u_irreducibles(monic_poly(ctx, (ctx.neg(bad_root),)))
     with pytest.raises(NotUFactorableError):

@@ -14,6 +14,8 @@ from strongreal.classdata import (
     SignedPartition,
     SymplecticClassDatum,
     partitions_of,
+    signed_partition,
+    symplectic_datum,
     t_minus_one,
     unipotent_datum,
 )
@@ -27,6 +29,7 @@ from strongreal.oracle import (
     HermitianForm,
     OracleReport,
     enumerate_group,
+    reconcile,
 )
 from strongreal.upoly import MonicPoly, UIrreducible
 
@@ -51,14 +54,14 @@ def _fields():
         SymplecticClassDatum: (
             ClassDatum(Q3, ()), signed, SignedPartition(Partition((2, 2)), ((2, 1),))
         ),
-        classify.Verdict: (classify.STRONGLY_REAL, "MainThm", {"even_part": 2}),
+        classify.Verdict: (classify.STRONGLY_REAL, "MainThm", (("even_part", 2),)),
         Series: (2, (1, 4, 16)),
         CountRow: (1, 4, 2, 2),
         CountCrossCheck: (Q3, (row,), ("note",)),
         Budgets: (1, 2, 3, 4),
         HermitianForm: (Q3, ((0, 1), (1, 0))),
         ClassRecord: (datum, True, False, verdict),
-        OracleReport: (2, Q3, "closure", 96, (record,), 7, Budgets()),
+        OracleReport: (2, Q3, "closure", 96, (record,), Budgets()),
     }
 
 
@@ -78,9 +81,8 @@ def test_value_semantics(cls):
     assert a is not b
     assert repr(a) == repr(b)
     assert copy.copy(a) == a
-    if cls is not classify.Verdict:  # its witness hint is a dict
-        assert hash(a) == hash(b) == hash(tuple(values))
-        assert {a: 1}[b] == 1
+    assert hash(a) == hash(b) == hash(tuple(values))
+    assert {a: 1}[b] == 1
     # another class never compares equal, even with the same fields
     other_cls = VALUE_CLASSES[(VALUE_CLASSES.index(cls) + 1) % len(VALUE_CLASSES)]
     other = other_cls(*fields[other_cls])
@@ -94,6 +96,31 @@ def test_value_semantics(cls):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert [getattr(a, name) for name in names] == list(values)
+
+
+def test_verdicts_with_a_witness_hash_and_reports_compare_by_value():
+    q2 = PrimePower(2)
+    verdicts = [
+        classify.strongly_real(unipotent_datum(Q3, (2,))),
+        classify.strongly_real(unipotent_datum(q2, (1,))),
+        classify.strongly_real(unipotent_datum(q2, (3, 1))),
+        classify.strongly_real(unipotent_datum(q2, (3,))),
+        classify.strongly_real(unipotent_datum(q2, (3, 2))),
+        classify.sp_strongly_real(symplectic_datum(Q3, signed_plus=signed_partition([2], {2: 1}))),
+    ]
+    assert [v.rule for v in verdicts] == [
+        "MainThm", "Real2", "Real2", "notstrong2-1", "notstrong2-2", "SpCor"
+    ]
+    for v in verdicts:
+        twin = classify.Verdict(v.status, v.rule, v.witness_hint)
+        assert v.witness_hint and v.to_json()["witness"] == v.witness_hint
+        assert twin == v and hash(twin) == hash(v) and {v: 1}[twin] == 1
+        assert pickle.loads(pickle.dumps(v)) == v
+    assert verdicts[2].witness_hint == {"branch": 2}
+    # two runs give one value: the report keeps no clock
+    first, second = reconcile(2, Q3), reconcile(2, Q3)
+    assert sum(r.verdict.witness is not None for r in first.records) == 2
+    assert first == second and hash(first) == hash(second)
 
 
 def test_defaults():
