@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classdata": (
         "ClassDatum", "Partition", "SignedPartition", "SymplecticClassDatum",
-        "centralizer_order", "class_datum", "is_real", "make_class_datum", "negate",
-        "partition", "sp_splitting_count", "star_decompose", "symplectic_datum",
+        "centralizer_order", "class_datum", "invert", "is_real", "make_class_datum",
+        "negate", "partition", "sp_splitting_count", "star_decompose", "symplectic_datum",
         "u_sequence", "unipotent_datum", "unitary_order",
     ),
     "classify": (

@@ -38,8 +38,6 @@ class Partition(_Frozen):
             raise ValueError("parts must be weakly decreasing")
         _set(self, "parts", parts)
 
-    def _key(self): return (self.parts,)
-
     # a > b and a >= b fall back to b < a and b <= a
     def __lt__(self, other):
         return self.parts < other.parts if other.__class__ is Partition else NotImplemented
@@ -124,8 +122,6 @@ class ClassDatum(_Frozen):
     def __init__(self, q: PrimePower, blocks: tuple[tuple[UIrreducible, Partition], ...]):
         _set(self, "q", q)
         _set(self, "blocks", blocks)
-
-    def _key(self): return (self.q, self.blocks)
 
     @property
     def n(self) -> int:
@@ -291,6 +287,11 @@ def negate(d: ClassDatum) -> ClassDatum:
     return class_datum(d.q, {negate_uirr(f): mu for f, mu in d.blocks})
 
 
+def invert(d: ClassDatum) -> ClassDatum:
+    """The datum of g^(-1) for g in the class of d: each f becomes tilde(f)."""
+    return class_datum(d.q, {tilde(f): mu for f, mu in d.blocks})
+
+
 def u_sequence(d: ClassDatum) -> list[MonicPoly]:
     """u_i = prod over f of f^(multiplicity of part i), for i = 1..max part."""
     ctx = make_context(d.q, 2)
@@ -347,8 +348,6 @@ class SignedPartition(_Frozen):
             raise DatumError("signs must be sorted by part, descending")
         _set(self, "base", base)
         _set(self, "signs", signs)
-
-    def _key(self): return (self.base, self.signs)
 
     @property
     def size(self) -> int:
@@ -420,8 +419,6 @@ class SymplecticClassDatum(_Frozen):
             raise DatumError("blocks must satisfy mu(f) = mu(tilde f)")
         if self.n2 % 2:
             raise DatumError("total degree of a symplectic datum must be even")
-
-    def _key(self): return (self.pairs, self.signed_plus, self.signed_minus)
 
     @property
     def q(self) -> PrimePower:

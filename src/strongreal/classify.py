@@ -50,8 +50,6 @@ class Verdict(_Frozen):
         # a dict or (key, value) pairs, kept as pairs in key order so that verdicts hash
         _set(self, "witness", None if witness is None else tuple(sorted(dict(witness).items())))
 
-    def _key(self): return (self.status, self.rule, self.witness)
-
     @property
     def witness_hint(self) -> dict | None:
         return None if self.witness is None else dict(self.witness)

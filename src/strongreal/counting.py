@@ -38,8 +38,6 @@ class Series(_Frozen):
         _set(self, "order", order)
         _set(self, "coeffs", coeffs)
 
-    def _key(self): return (self.order, self.coeffs)
-
     def coefficient(self, n: int) -> int:
         return self.coeffs[n]
 
@@ -210,8 +208,6 @@ class CountRow(_Frozen):
         _set(self, "direct_real", direct_real)
         _set(self, "direct_strongly_real", direct_strongly_real)
 
-    def _key(self): return (self.n, self.direct_all, self.direct_real, self.direct_strongly_real)
-
     def to_json(self):
         odd = self.direct_strongly_real is not None
         return {
@@ -234,8 +230,6 @@ class CountCrossCheck(_Frozen):
         _set(self, "q", q)
         _set(self, "rows", rows)
         _set(self, "notes", notes)
-
-    def _key(self): return (self.q, self.rows, self.notes)
 
     def to_json(self):
         return {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import EnumerationBoundError, ExtensionTooLargeError, ZeroInputError
 
@@ -36,13 +37,21 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable value whose fields are its __slots__, each set once by its
-    __init__ through _set.  Two values of one class are equal, and hash, by
-    _key(), the tuple of the fields in __init__ order.  Written out rather
-    than made by @dataclass, whose import and per-class code generation slow
-    the start of every process."""
+    """Immutable value whose fields are its __slots__, listed in __init__
+    order and each set once by its __init__ through _set.  Two values of one
+    class are equal, and hash, by _key(), the tuple of the fields.  Written
+    out rather than made by @dataclass, whose import and per-class code
+    generation slow the start of every process."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = attrgetter(*cls.__slots__)  # a bare value for one slot
+        if len(cls.__slots__) == 1:
+            cls._key = lambda self: (fields(self),)
+        else:
+            cls._key = lambda self: fields(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -81,8 +90,6 @@ class PrimePower(_Frozen):
         _set(self, "p", p)
         _set(self, "e", e)
 
-    def _key(self): return (self.p, self.e)
-
     @property
     def q(self) -> int:
         return self.p**self.e
@@ -90,12 +97,12 @@ class PrimePower(_Frozen):
     def to_json(self):
         return {"p": self.p, "e": self.e}
 
-    def __repr__(self):
-        return f"PrimePower(p={self.p}, e={self.e})"
 
-
-def prime_power(q: int) -> PrimePower:
-    """Parse an integer q as p^e; rejects non prime powers."""
+def prime_power(q: int | PrimePower) -> PrimePower:
+    """Parse an integer q as p^e; rejects non prime powers.  A PrimePower
+    is returned as it is."""
+    if isinstance(q, PrimePower):
+        return q
     if q < 2:
         raise ValueError("q must be at least 2")
     # past P_CAP the cofactor left over is p or fails PrimePower's own cap

@@ -20,6 +20,8 @@ from .classdata import (
     ClassDatum,
     centralizer_order,
     class_datum,
+    invert,
+    negate,
     partition,
     unitary_order,
 )
@@ -58,7 +60,7 @@ class Budgets(_Frozen):
     def __init__(
         self,
         entry_scan: int = 10**8,        # cap on q^(2 n^2) for entrywise filtering
-        group_order: int = 2 * 10**6,   # cap on materialized group order
+        group_order: int = 2 * 10**6,   # cap on materialized group order, either strategy
         reversing_scan: int = 10**7,    # cap on nodes of the unitary reverser search
         realize_scan: int = 200_000,    # cap on invariant-form search candidates
     ):
@@ -66,9 +68,6 @@ class Budgets(_Frozen):
         _set(self, "group_order", group_order)
         _set(self, "reversing_scan", reversing_scan)
         _set(self, "realize_scan", realize_scan)
-
-    def _key(self):
-        return (self.entry_scan, self.group_order, self.reversing_scan, self.realize_scan)
 
     @staticmethod
     def uniform(value: int) -> "Budgets":
@@ -96,8 +95,6 @@ class HermitianForm(_Frozen):
             raise ValueError("gram matrix is singular")
         _set(self, "q", q)
         _set(self, "gram", gram)
-
-    def _key(self): return (self.q, self.gram)
 
     @property
     def n(self) -> int:
@@ -325,21 +322,26 @@ def enumerate_group(
     """Materialize U(n, F_q) for the given form.
 
     Generators are taken greedily from the column-by-column unitary search
-    over M_n until the closure has as many elements as the order formula.
-    When q^(2 n^2) <= 10^6 the search is drained first (label entrywise,
+    over M_n until the closure has as many elements as the order formula,
+    which must not exceed the group budget under either strategy.  When
+    q^(2 n^2) <= 10^6 the search is drained first (label entrywise, also
     guarded by the entry-scan budget) and must find exactly that many
     members; otherwise it stops as soon as the closure is complete (label
-    closure, guarded by the group budget).  Every generator must pass
-    is_unitary, so the closure lies in U(n, F_q), and its order must equal
-    the formula, so it is all of U(n, F_q).  The search, the closure and
-    both checks are the same for every form.
+    closure).  Every generator must pass is_unitary, so the closure lies in
+    U(n, F_q), and its order must equal the formula, so it is all of
+    U(n, F_q).  The search, the closure and both checks are the same for
+    every form.
     """
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
+    pp = prime_power(q)
     F = table_for(pp)
     if form is None:
         form = identity_form(n, pp)
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
+    if predicted > budgets.group_order:
+        raise BudgetExceededError(
+            f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
+        )
     members = _entrywise_members(F, n, form.gram)
     if entry_cost <= 10**6:
         strategy = "entrywise"
@@ -354,10 +356,6 @@ def enumerate_group(
             )
     else:
         strategy = "closure"
-        if predicted > budgets.group_order:
-            raise BudgetExceededError(
-                f"predicted order {predicted} exceeds the group budget {budgets.group_order}"
-            )
     codec = _RowCodes(F, n)
     gens, codes, index, right = _grow_closure(codec, members, predicted)
     if len(codes) != predicted:
@@ -384,7 +382,7 @@ def enumerate_group(
 def extract_class_datum(g: Matrix, q) -> ClassDatum:
     """Datum of g: factor the characteristic polynomial, read partitions
     from nullity jumps of powers of each factor evaluated at g."""
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
+    pp = prime_power(q)
     F = table_for(pp)
     ctx2 = make_context(pp, 2)
     n = len(g)
@@ -678,7 +676,7 @@ def explicit_representative(kind: str, q, r: int = 1, m: int = 0):
     kinds: two_one(r, m) for odd q; three_one, three_two, three_r(r) for even q.
     Parameters are chosen deterministically (first suitable in scan order).
     """
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
+    pp = prime_power(q)
     F = table_for(pp)
     if kind == "two_one":
         if pp.p == 2:
@@ -721,7 +719,7 @@ def three_one_involution(q) -> Matrix:
     Built from the first root beta of t^2 + t + 1 in GF(q^2) and alpha =
     beta * a with the same a used by explicit_representative('three_one').
     """
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
+    pp = prime_power(q)
     if pp.p != 2:
         raise ValueError("three_one requires even q")
     F = table_for(pp)
@@ -1010,8 +1008,6 @@ class ClassRecord(_Frozen):
         _set(self, "oracle_strongly_real", oracle_strongly_real)
         _set(self, "verdict", verdict)
 
-    def _key(self): return (self.datum, self.oracle_real, self.oracle_strongly_real, self.verdict)
-
     @property
     def classifier_real(self) -> bool:
         return self.verdict.real
@@ -1056,9 +1052,6 @@ class OracleReport(_Frozen):
         _set(self, "group_order", group_order)
         _set(self, "records", records)
         _set(self, "budgets", budgets)
-
-    def _key(self):
-        return (self.n, self.q, self.strategy, self.group_order, self.records, self.budgets)
 
     @property
     def disagreements(self):
@@ -1164,15 +1157,6 @@ def _representative_verdicts(g: Matrix, datum: ClassDatum, form: HermitianForm, 
     return leaves > 0, strong
 
 
-def _sign_inverse_images(F: GFTable, g: Matrix) -> list:
-    """g^(-1), -g and -g^(-1); only g^(-1) in characteristic 2, where -1 = 1."""
-    ginv = mat_inv(F, g)
-    if F.ctx.p == 2:
-        return [ginv]
-    neg = F.neg
-    return [ginv] + [tuple(tuple(neg[x] for x in row) for row in m) for m in (g, ginv)]
-
-
 def _block_representative(
     datum: ClassDatum, form: HermitianForm, budgets: Budgets, cache: dict
 ) -> Matrix:
@@ -1212,20 +1196,17 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
     Representatives are block sums, each block realized once per call.  For
     s, e in {1, -1}, h (s g^e) h^(-1) = (s g^e)^(-1) iff h g h^(-1) =
     g^(-1), and reversing_space returns the same basis for all four, so
-    their walks are one computation, budget outcome included.  Each image
-    must be unitary, have g's centralizer order and be one of the data,
-    else CountMismatchError.  A class whose form scan runs out of budget is
-    recorded undecided and shares nothing; any other RealizationError
-    propagates.
+    their walks are one computation, budget outcome included.  The images
+    are data: invert(d), and when q is odd negate(d) and negate(invert(d));
+    each must be one of the data, else CountMismatchError.  A class whose
+    form scan runs out of budget is recorded undecided and shares nothing;
+    any other RealizationError propagates.
     """
-    pp = form.q
-    F = table_for(pp)
+    known = set(data)
     found: dict = {}
-    shared: dict = {}
     blocks: dict = {}
     for datum in data:
-        if datum in shared:
-            found[datum] = shared.pop(datum)
+        if datum in found:
             continue
         try:
             g = _block_representative(datum, form, budgets, blocks)
@@ -1233,22 +1214,12 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
             found[datum] = (None, None)  # budget too small to even realize
             continue
         found[datum] = verdicts = _representative_verdicts(g, datum, form, budgets)
-        for h in _sign_inverse_images(F, g):
-            image = extract_class_datum(h, pp)
-            if not is_unitary(F, h, form.gram):
-                raise RealizationError(f"an image of the {datum} representative is not unitary")
-            if centralizer_order(image) != centralizer_order(datum):
-                raise CountMismatchError(
-                    f"image {image} of {datum} has |C| = {centralizer_order(image)}, "
-                    f"expected {centralizer_order(datum)}"
-                )
-            if image not in found:
-                shared.setdefault(image, verdicts)
-    if shared:
-        raise CountMismatchError(
-            f"{len(shared)} images of realized classes are not among the class data"
-        )
-    return [(datum, *verdicts) for datum, verdicts in found.items()]
+        inverse = invert(datum)
+        for image in [inverse] if form.q.p == 2 else [inverse, negate(datum), negate(inverse)]:
+            if image not in known:
+                raise CountMismatchError(f"image {image} of {datum} is not among the class data")
+            found.setdefault(image, verdicts)
+    return [(datum, *found[datum]) for datum in data]
 
 
 def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
@@ -1273,7 +1244,7 @@ def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
 def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     """One record per class: oracle reality and strong reality against the
     classifier.  Budget exhaustion is recorded per class, never skipped."""
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
+    pp = prime_power(q)
     form = identity_form(n, pp)
     try:
         group = enumerate_group(n, pp, form, budgets)

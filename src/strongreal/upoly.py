@@ -40,8 +40,6 @@ class MonicPoly(_Frozen):
         _set(self, "ctx", ctx)
         _set(self, "coeffs", coeffs)
 
-    def _key(self): return (self.ctx, self.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs)
@@ -142,8 +140,6 @@ class UIrreducible(_Frozen):
     def __init__(self, poly: MonicPoly, orbit_rep: int):
         _set(self, "poly", poly)
         _set(self, "orbit_rep", orbit_rep)
-
-    def _key(self): return (self.poly, self.orbit_rep)
 
     @property
     def degree(self) -> int:

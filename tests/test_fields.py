@@ -92,6 +92,13 @@ def test_prime_power_above_the_cap_is_rejected_before_the_primality_test():
     assert prime_power(65521**2) == PrimePower(65521, 2)
 
 
+def test_prime_power_returns_a_prime_power_as_it_is():
+    # every entry point coerces q through prime_power, integer or not
+    pp = PrimePower(3, 2)
+    assert prime_power(pp) is pp
+    assert prime_power(9) == pp
+
+
 def test_gf3_prime_field_modulus():
     ctx = make_context(PP3, 1)
     assert ctx.modulus == (0, 1)  # the polynomial t

@@ -8,7 +8,15 @@ from collections import Counter
 import pytest
 
 from strongreal import oracle
-from strongreal.classdata import centralizer_order, commutant_dim, partition, unipotent_datum
+from strongreal.classdata import (
+    centralizer_order,
+    commutant_dim,
+    invert,
+    is_real,
+    negate,
+    partition,
+    unipotent_datum,
+)
 from strongreal.classify import NOT_STRONGLY_REAL, STRONGLY_REAL
 from strongreal.counting import enumerate_class_data, series_K
 from strongreal.errors import (
@@ -27,7 +35,6 @@ from strongreal.oracle import (
     _conjugation_orbits,
     _representative_records,
     _representative_verdicts,
-    _sign_inverse_images,
     _strongly_real_orbits,
     _times,
     _unitary_members,
@@ -640,6 +647,14 @@ def test_shared_records_match_reference(q, n, budgets):
     )
 
 
+def matrix_images(F, g):
+    """g^(-1), -g and -g^(-1); only g^(-1) in characteristic 2."""
+    ginv = mat_inv(F, g)
+    if F.ctx.p == 2:
+        return [ginv]
+    return [ginv] + [tuple(tuple(F.neg[x] for x in row) for row in m) for m in (g, ginv)]
+
+
 @pytest.mark.parametrize("q,n", SHARING_CASES)
 def test_images_have_the_same_reversing_space(q, n):
     # the walk on an image would be the walk on g: the same basis, in order
@@ -647,11 +662,30 @@ def test_images_have_the_same_reversing_space(q, n):
     F = table_for(pp)
     for datum in enumerate_class_data(n, pp, max_n=n, max_q=q):
         g = realize_class(datum)
-        images = _sign_inverse_images(F, g)
+        images = matrix_images(F, g)
         assert len(images) == (1 if pp.p == 2 else 3)
         space = reversing_space(F, g)
         for h in images:
             assert reversing_space(F, h) == space
+
+
+@pytest.mark.parametrize("q,n", SHARING_CASES + [(7, 3)])
+def test_datum_maps_match_matrix_images(q, n):
+    # the representatives path shares verdicts with invert(d), negate(d) and
+    # negate(invert(d)) without building a matrix: they must be the data of
+    # g^(-1), -g and -g^(-1), with the centralizer order of d
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    cache: dict = {}
+    for datum in enumerate_class_data(n, pp, max_n=n, max_q=q):
+        inverse = invert(datum)
+        assert invert(inverse) == datum
+        assert (inverse == datum) == is_real(datum)
+        images = [inverse] if pp.p == 2 else [inverse, negate(datum), negate(inverse)]
+        g = _block_representative(datum, form, Budgets(), cache)
+        assert [extract_class_datum(h, pp) for h in matrix_images(F, g)] == images
+        assert {centralizer_order(d) for d in images} == {centralizer_order(datum)}
 
 
 # budgets too small to materialize any group, so reconcile takes the
@@ -659,16 +693,13 @@ def test_images_have_the_same_reversing_space(q, n):
 NO_GROUP = Budgets(entry_scan=10, group_order=10)
 
 
-def test_image_with_another_centralizer_order_raises(monkeypatch):
-    # I and -I are one orbit; a centralizer order that tells them apart
-    # contradicts Wall's formula and must not be shared
-    minus_one = extract_class_datum(((2, 0), (0, 2)), PP3)  # 2 = -1 in GF(9)
-    assert reconcile(2, 3, NO_GROUP).strategy == "representatives"
-    monkeypatch.setattr(
-        oracle, "centralizer_order", lambda d: centralizer_order(d) + (d == minus_one)
-    )
-    with pytest.raises(CountMismatchError, match=r"has \|C\|"):
-        reconcile(2, 3, NO_GROUP)
+def test_group_budget_caps_the_entrywise_strategy():
+    # U(2, F_3) has order 96 and is built entrywise (q^(2 n^2) = 6561): the
+    # group budget caps that strategy as it caps the closure
+    assert enumerate_group(2, PP3, budgets=Budgets(group_order=96)).order == 96
+    with pytest.raises(BudgetExceededError, match="group budget 95"):
+        enumerate_group(2, PP3, budgets=Budgets(group_order=95))
+    assert reconcile(2, 3, Budgets(group_order=95)).strategy == "representatives"
 
 
 def test_image_outside_the_enumeration_raises(monkeypatch):
