@@ -1,19 +1,32 @@
 """Check one JSON report of `strongreal verify`.
 
-    python .github/scripts/check_verify.py REPORT STRATEGY [CLASS_COUNT]
+    python .github/scripts/check_verify.py REPORT STRATEGY [CLASS_COUNT] [--series]
 
 Prints the report's size, strategy, group order, class count, undecided and
 disagreement counts.  Exits 1 unless the strategy is STRATEGY, no record is
 undecided or disagrees, and, when CLASS_COUNT is given, the report has that
-many classes.
+many classes.  With --series (odd q only), the real and strongly real
+records must also number the coefficients n of `strongreal series --q Q
+--order N --which R` and `--which T`, run with this Python, so strongreal
+must be importable.
 """
 
 import json
+import subprocess
 import sys
 
 
+def series_coefficient(q: int, n: int, which: str) -> int:
+    argv = ["series", "--q", str(q), "--order", str(n), "--which", which]
+    out = subprocess.run(
+        [sys.executable, "-m", "strongreal", *argv], check=True, capture_output=True, text=True
+    )
+    return json.loads(out.stdout)["coeffs"][n]
+
+
 def main(argv) -> int:
-    path, strategy, *count = argv
+    args = [a for a in argv if a != "--series"]
+    path, strategy, *count = args
     with open(path) as fh:
         r = json.load(fh)
     q = r["q"]["p"] ** r["q"]["e"]
@@ -24,6 +37,14 @@ def main(argv) -> int:
     ok = r["strategy"] == strategy and not r["undecided"] and not r["disagreements"]
     if count:
         ok = ok and r["class_count"] == int(count[0])
+    if len(args) < len(argv):
+        found = (
+            sum(1 for rec in r["records"] if rec["is_real"]),
+            sum(1 for rec in r["records"] if rec["is_strongly_real"]),
+        )
+        expected = tuple(series_coefficient(q, r["n"], which) for which in "RT")
+        print("real, strongly real:", *found, "series R_n, T_n:", *expected)
+        ok = ok and found == expected
     return 0 if ok else 1
 
 

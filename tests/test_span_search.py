@@ -1,8 +1,10 @@
 """The oracle's span enumerator and the two searches that walk it: the
 invariant-form search of realize_class, against the candidate-by-candidate
 scan it replaced, and the column-by-column search for the unitary members
-of a matrix space, against the reversing-space scan it replaced and against
-its own form before the norm solve."""
+of a matrix space, against the reversing-space scan it replaced, against
+its own form before the norm solve, and against the walk that rebuilt and
+eliminated every pairing system before determined columns and shared
+sibling rows."""
 
 import functools
 import itertools
@@ -28,6 +30,7 @@ from strongreal.oracle import (
     DEFAULT_BUDGETS,
     Budgets,
     _block_representative,
+    _columns_confined,
     _eliminate,
     _entrywise_members,
     _first_nondegenerate,
@@ -482,11 +485,11 @@ def test_norm_solve_matches_reference_search(q, n):
                 assert outcome[0] == reference[0]
 
 
-def until_budget_tally(F, basis, J, budget, involutions):
+def until_budget_tally(F, basis, J, budget, involutions, search=_unitary_members, coeffs=None):
     """The member count the walk tallies, and whether it then raised."""
     total = 0
     try:
-        for found in _unitary_members(F, basis, J, budget, involutions=involutions, tally=True):
+        for found in search(F, basis, J, budget, coeffs, involutions=involutions, tally=True):
             total += found
     except BudgetExceededError:
         return total, True
@@ -548,15 +551,18 @@ def test_budget_boundary_inside_one_block(q):
 
 
 class NodeClock:
-    """A budget that never runs out.  Python evaluates a search's check
-    `nodes > budget` as `budget < nodes`, which keeps the node count and
-    answers False."""
+    """A budget of cap nodes, none unless given.  Python evaluates a
+    search's check `nodes > budget` as `budget < nodes`, which keeps the
+    node count and compares it with the cap."""
 
     nodes = 0
 
+    def __init__(self, cap=math.inf):
+        self.cap = cap
+
     def __lt__(self, nodes):
         self.nodes = nodes
-        return False
+        return self.cap < nodes
 
 
 def node_trace(search, F, basis, J):
@@ -631,3 +637,235 @@ def test_reconcile_u43_budget_20000():
         if shape(r) == [(2, 1, 1)] and r.datum.blocks[0][0] in plus_minus_one
     ]
     assert [verdicts(r) for r in once_open] == [(True, False)] * 2
+
+
+def reference_pairing_walk(F, basis, J, budget, coeffs=None, involutions=False, tally=False):
+    """The reverser walk before determined columns were checked in place
+    and sibling nodes shared their rows: every node builds its whole
+    pairing system, Hermitian rows included, and hands it to nullspace.
+    The reference for _unitary_members, with its involutions and tally
+    modes; node counts, members, tallies and raises must agree."""
+    n = len(J)
+    if _columns_confined(F, basis, n):
+        return
+    if n == 0:  # the 0 x 0 matrix, which has no last column to yield at
+        yield ()
+        return
+    if coeffs is None:
+        coeffs = range(F.size)
+    add, mul, conj, sub = F.add, F.mul, F.conj, F.sub
+    vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
+    pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
+    # column j: the pivots before it with the slices at j of their vectors
+    # (which come first in echelon order), then the slices pivoting at j
+    plan = []
+    for j in range(n):
+        part = [v[j * n : j * n + n] for v in vecs]
+        k = sum(c < j for c, _ in pivots)
+        plan.append((pivots[:k], part[:k], part[k : k + sum(c == j for c, _ in pivots)]))
+    nodes = 0
+    dot = _hermitian_dot(F, J)
+    units = identity(n)  # dot(units[i], x) = (J x)[i]
+    solved = {}
+    lines = {}
+
+    def solutions(w, b):
+        """(index, c) in coeffs order, by the value of Tr(c b) + N(c) w."""
+        if (w, b) not in solved:
+            by_value = solved[w, b] = {}
+            for i, c in enumerate(coeffs):
+                cb = mul[c][b]
+                value = add[add[cb][conj[cb]]][mul[mul[c][conj[c]]][w]]
+                by_value.setdefault(value, []).append((i, c))
+        return solved[w, b]
+
+    def line(alpha, beta):
+        """c -> its place in coeffs order among the q with alpha + c beta in GF(q)."""
+        if (alpha, beta) not in lines:
+            ib = F.inv[beta]
+            on = {mul[sub(t, alpha)][ib] for t in F.base_elems}
+            lines[alpha, beta] = {c: k for k, c in enumerate(c for c in coeffs if c in on)}
+        return lines[alpha, beta]
+
+    def count(k):
+        nonlocal nodes
+        nodes += k
+        if nodes > budget:
+            raise BudgetExceededError(f"unitary search passed {budget} nodes")
+
+    def combine(c, vectors, base):
+        for ck, v in zip(c, vectors):
+            if ck:
+                base = [add[a][mul[ck][b]] for a, b in zip(base, v)]
+        return base
+
+    def walk(cols):
+        j = len(cols)
+        before, slices, heads = plan[j]
+        a = combine([cols[c][r] for c, r in before], slices, [0] * n)
+        # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
+        system = [
+            [dot(u, h) for h in heads] + [sub(dot(u, a), J[i][j])]
+            for i, u in enumerate(cols)
+        ]
+        if involutions:
+            e = units[j]
+            system += [
+                [dot(units[i], h) for h in heads] + [sub(dot(units[i], a), conj[dot(e, u)])]
+                for i, u in enumerate(cols)
+            ]
+        kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
+        start = next((v for v in kernel if v[-1]), None)
+        if start is None:
+            return
+        x = combine(start, heads, a)
+        directions = [combine(v, heads, [0] * n) for v in kernel if not v[-1]]
+        last = j == n - 1
+        if not directions:
+            count(1)
+            diagonal = dot(units[j], x)
+            if dot(x, x) == J[j][j] and (not involutions or conj[diagonal] == diagonal):
+                if last:
+                    yield 1 if tally else tuple(zip(*cols, x))
+                else:
+                    yield from walk(cols + [x])
+            return
+        v = directions[0]
+        w = dot(v, v)
+        beta = dot(units[j], v) if involutions else 0
+        size = len(F.base_elems) if beta else len(coeffs)
+        places = None
+        for r in _span(F, [(d,) for d in directions[1:]], coeffs, x):
+            if involutions:
+                alpha = dot(units[j], r)
+                if beta:
+                    places = line(alpha, beta)
+                elif conj[alpha] != alpha:
+                    count(1)
+                    continue
+            found = solutions(w, dot(r, v)).get(sub(J[j][j], dot(r, r)), ())
+            if places is not None:
+                found = [(places[c], c) for _, c in found if c in places]
+            if tally and last:
+                # the solving c whose candidates come within budget
+                within = 0
+                for i, _ in found:
+                    if nodes + i + 1 > budget:
+                        break
+                    within += 1
+                if within:
+                    yield within
+                count(size)
+                continue
+            done = 0
+            for i, c in found:
+                # the candidates done .. i - 1 of this block fail the norm
+                count(i + 1 - done)
+                done = i + 1
+                col = [add[ri][mul[c][vi]] for ri, vi in zip(r, v)]
+                if last:
+                    yield tuple(zip(*cols, col))
+                else:
+                    yield from walk(cols + [col])
+            count(size - done)
+
+    yield from walk([])
+
+
+def capped_trace(search, F, basis, J, cap, **kw):
+    """Each member with the node count at which it comes, the node count
+    at the end, and whether the search ran past cap nodes."""
+    clock = NodeClock(cap)
+    found = []
+    try:
+        for h in search(F, basis, J, clock, **kw):
+            found.append((clock.nodes, h))
+    except BudgetExceededError:
+        return found, clock.nodes, True
+    return found, clock.nodes, False
+
+
+def assert_walks_agree(F, basis, J, coeffs=None):
+    # in both modes: the same members at the same node counts up to 5,000
+    # nodes, which fixes what either yields at every smaller budget, and
+    # the same tallies and raises at budgets from one node up to 20,000
+    for involutions in (False, True):
+        traces = [
+            capped_trace(search, F, basis, J, 5000, coeffs=coeffs, involutions=involutions)
+            for search in (_unitary_members, reference_pairing_walk)
+        ]
+        assert traces[0] == traces[1], involutions
+        for budget in (1, 50, 777, 20000):
+            assert until_budget_tally(F, basis, J, budget, involutions, coeffs=coeffs) == (
+                until_budget_tally(F, basis, J, budget, involutions, reference_pairing_walk, coeffs)
+            ), (involutions, budget)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(3, n) for n in (1, 2, 3, 4)] + [(4, 3), (5, 3)] + [(2, n) for n in (1, 2, 3, 4, 5)]
+)
+def test_walk_matches_reference_pairing_walk(q, n):
+    # the reversing space of every block-sum representative; the images of
+    # a class under g -> +-g^(+-1) share one space, walked once
+    pp = prime_power(q)
+    F = table_for(pp)
+    form = identity_form(n, pp)
+    blocks = {}
+    spaces = dict.fromkeys(
+        tuple(reversing_space(F, _block_representative(d, form, Budgets(), blocks)))
+        for d in enumerate_class_data(n, pp, max_n=n, max_q=q)
+    )
+    for basis in spaces:
+        assert_walks_agree(F, list(basis), form.gram)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 2)])
+def test_entrywise_walk_matches_reference_pairing_walk(q, n):
+    # the basis and coefficient order of _entrywise_members, on every standard form
+    pp = prime_power(q)
+    F = table_for(pp)
+    basis = [tuple(zip(*[iter(e)] * n)) for e in identity(n * n)]
+    for form in standard_forms(n, pp):
+        assert_walks_agree(F, basis, form.gram, [*range(1, F.size), 0])
+
+
+def pinned_basis(q, n, blocks):
+    """The reversing space of the block-sum representative of the class
+    with the given partitions at t - c, for each (c, parts) in blocks."""
+    pp = prime_power(q)
+    F = table_for(pp)
+    ctx2 = make_context(pp, 2)
+    d = class_datum(
+        pp, {u_irreducible_lookup(pp, monic_poly(ctx2, (c,))): partition(p) for c, p in blocks}
+    )
+    form = identity_form(n, pp)
+    return F, reversing_space(F, _block_representative(d, form, Budgets(), {})), form.gram
+
+
+def drained_tally(F, basis, J, involutions):
+    """(nodes, leaves) of a tally walk that never runs out."""
+    clock = NodeClock()
+    leaves = sum(_unitary_members(F, basis, J, clock, involutions=involutions, tally=True))
+    return clock.nodes, leaves
+
+
+@pytest.mark.parametrize("c,nodes", [(1, 2191), (2, 2193)])
+def test_determined_columns_u43_regular_unipotent(c, nodes):
+    # (4) at t + 1 (c = 1) and at t - 1 (c = 2) in U(4, F_3): the reversing
+    # space has m = 4 dimensions, all pivoting in column 0, so columns 1-3
+    # are determined.  The Hermitian walk drains without an involution and
+    # the full walk counts |C(g)| = 108 leaves
+    F, basis, J = pinned_basis(3, 4, [(c, [4])])
+    assert len(basis) == 4
+    assert drained_tally(F, basis, J, True) == (nodes, 0)
+    assert drained_tally(F, basis, J, False) == (6993, 108)
+
+
+@pytest.mark.stretch
+def test_shared_rows_u53_split_unipotent():
+    # (1) at t + 1 plus (2,1,1) at t - 1 in U(5, F_3): m = 11, a Hermitian
+    # drain without an involution and a full tally of |C(g)| leaves
+    F, basis, J = pinned_basis(3, 5, [(1, [1]), (2, [2, 1, 1])])
+    assert len(basis) == 11
+    assert drained_tally(F, basis, J, True) == (4377, 0)
+    assert drained_tally(F, basis, J, False) == (1184877, 373248)
