@@ -1,14 +1,14 @@
 """Check one JSON report of `strongreal verify`.
 
-    python .github/scripts/check_verify.py REPORT STRATEGY [CLASS_COUNT] [--series]
+    python .github/scripts/check_verify.py REPORT STRATEGY [CLASS_COUNT]
 
 Prints the report's size, strategy, group order, class count, undecided and
 disagreement counts.  Exits 1 unless the strategy is STRATEGY, no record is
 undecided or disagrees, and, when CLASS_COUNT is given, the report has that
-many classes.  With --series (odd q only), the real and strongly real
-records must also number the coefficients n of `strongreal series --q Q
---order N --which R` and `--which T`, run with this Python, so strongreal
-must be importable.
+many classes.  For odd q, the real and strongly real records must also
+number the coefficients n of `strongreal series --q Q --order N --which R`
+and `--which T` (the series are defined for odd q only), run with this
+Python, so strongreal must then be importable.
 """
 
 import json
@@ -25,8 +25,7 @@ def series_coefficient(q: int, n: int, which: str) -> int:
 
 
 def main(argv) -> int:
-    args = [a for a in argv if a != "--series"]
-    path, strategy, *count = args
+    path, strategy, *count = argv
     with open(path) as fh:
         r = json.load(fh)
     q = r["q"]["p"] ** r["q"]["e"]
@@ -37,7 +36,7 @@ def main(argv) -> int:
     ok = r["strategy"] == strategy and not r["undecided"] and not r["disagreements"]
     if count:
         ok = ok and r["class_count"] == int(count[0])
-    if len(args) < len(argv):
+    if q % 2:
         found = (
             sum(1 for rec in r["records"] if rec["is_real"]),
             sum(1 for rec in r["records"] if rec["is_strongly_real"]),

@@ -802,11 +802,10 @@ def _unitary_members(
     in columns <= j, each with h's entry at its pivot as coefficient.
     Columns are chosen left to right, each from a plan made once per call.
     The pairings u_i* J x = J[i][j] with the chosen columns u_i are linear
-    in column x.  A column where no vector pivots has one candidate, which
-    passes every pairing before its node counts.  Siblings share the rows
-    from u_i, i < j - 1, but for right-hand sides linear in the coefficients
-    pivoting in column j - 1, so their parent reduces them once; each child
-    adds its own rows to that unique reduced echelon form, as nullspace would.
+    in column x, so one elimination gives the affine set of candidates.  A
+    column where no vector pivots is determined: its one candidate is tested
+    pairing by pairing, with no system, and its node counts only once every
+    pairing holds, as the empty kernel of a failed system counts none.
     The free coefficients of a column run through coeffs, counter order
     over every field element (0 first) unless given.  The last norm
     condition x* J x = J[j][j] is solved for the fastest-changing
@@ -842,21 +841,19 @@ def _unitary_members(
         return
     if coeffs is None:
         coeffs = range(F.size)
-    add, mul, neg, conj, sub = F.add, F.mul, F.neg, F.conj, F.sub
+    add, mul, conj, sub = F.add, F.mul, F.conj, F.sub
     vecs = [[B[r][c] for c in range(n) for r in range(n)] for B in basis]
     pivots = [divmod(e, n) for _, e in _eliminate(F, vecs)]
-    nodes = 0
-    dot = _hermitian_dot(F, J)
-    units = identity(n)  # dot(units[i], x) = (J x)[i]
-    # column j: the pivots before it with the slices at j of their vectors (first
-    # in echelon order), how many pivot before j - 1, its heads, (J h)[i] for i < j
+    # column j: the pivots before it with the slices at j of their vectors
+    # (which come first in echelon order), then the slices pivoting at j
     plan = []
     for j in range(n):
         part = [v[j * n : j * n + n] for v in vecs]
         k = sum(c < j for c, _ in pivots)
-        heads = part[k : k + sum(c == j for c, _ in pivots)]
-        units_rows = [[dot(e, h) for h in heads] for e in units[:j]] if involutions else None
-        plan.append((pivots[:k], part[:k], sum(c < j - 1 for c, _ in pivots), heads, units_rows))
+        plan.append((pivots[:k], part[:k], part[k : k + sum(c == j for c, _ in pivots)]))
+    nodes = 0
+    dot = _hermitian_dot(F, J)
+    units = identity(n)  # dot(units[i], x) = (J x)[i]
     solved = {}
     lines = {}
 
@@ -890,65 +887,33 @@ def _unitary_members(
                 base = [add[a][mul[ck][b]] for a, b in zip(base, v)]
         return base
 
-    def pairings(j, i, u, a, extra):
-        """Column j's rows from u = u_i: [pairings with heads and extra | rhs]."""
-        yield [dot(u, h) for h in plan[j][3] + extra] + [sub(dot(u, a), J[i][j])]
-        if involutions:
-            e, uj = units[i], conj[dot(units[j], u)]
-            yield plan[j][4][i] + [dot(e, s) for s in extra] + [sub(dot(e, a), uj)]
-
-    def share(j, cols):
-        """Column j's part fixed by cols (the columns before j - 1) and their rows, reduced."""
-        before, slices, k, _, _ = plan[j]
-        a = combine([cols[c][r] for c, r in before[:k]], slices[:k], [0] * n)
-        rows = [row for i, u in enumerate(cols) for row in pairings(j, i, u, a, slices[k:])]
-        return a, {c: rows[r] for r, c in _eliminate(F, rows)}
-
-    def candidates(cols, shared):
-        """x and the directions for column len(cols), as nullspace reads them, or (None, None)."""
-        j = len(cols)
-        before, slices, k, heads, _ = plan[j]
-        m = len(heads)
-        a, reduced = shared or share(j, cols[: j - 1])
-        values = [cols[c][r] for c, r in before[k:]]
-        a = combine(values, slices[k:], a)
-        rows = {}  # the reduced echelon form, pivot -> row
-        for c, row in reduced.items():
-            b = row[-1]
-            for t, s in zip(values, row[m:-1]):
-                b = add[b][mul[t][s]]
-            if c < m:
-                rows[c] = row[:m] + [b]
-            elif b:
-                return None, None
-        for o in pairings(j, j - 1, cols[-1], a, []) if j else ():
-            for c, row in rows.items():
-                if o[c]:
-                    o = combine([neg[o[c]]], [row], o)
-            p = next((c for c, t in enumerate(o) if t), None)
-            if p is not None:
-                rows[p] = o = combine([F.inv[o[p]]], [o], [0] * len(o))
-                for c, row in rows.items():
-                    if row[p] and c != p:
-                        rows[c] = combine([neg[row[p]]], [o], row)
-        if m in rows:
-            return None, None
-        ks = [[neg[rows[c][f]] if c in rows else int(c == f) for c in range(m)]
-              for f in range(m + 1) if f not in rows]
-        return combine(ks[-1], heads, a), [combine(k, heads, [0] * n) for k in ks[:-1]]
-
-    def below(cols, shared=None):
-        """The yields under the chosen columns cols; one-candidate columns settle here."""
+    def below(cols):
+        """The yields under the chosen columns cols; determined columns settle here."""
         for j in range(len(cols), n):
-            before, slices, _, heads, _ = plan[j]
+            before, slices, heads = plan[j]
+            a = combine([cols[c][r] for c, r in before], slices, [0] * n)
             if heads:
-                x, directions = candidates(cols, shared)
-                if x is None:
+                # the candidates are a + sum c_k heads[k] for (c, 1) in the kernel
+                system = [
+                    [dot(u, h) for h in heads] + [sub(dot(u, a), J[i][j])]
+                    for i, u in enumerate(cols)
+                ]
+                if involutions:
+                    e = units[j]
+                    system += [
+                        [dot(units[i], h) for h in heads] + [sub(dot(units[i], a), conj[dot(e, u)])]
+                        for i, u in enumerate(cols)
+                    ]
+                kernel = nullspace(F, system or [[0] * (len(heads) + 1)])
+                start = next((v for v in kernel if v[-1]), None)
+                if start is None:
                     return ()
+                x = combine(start, heads, a)
+                directions = [combine(v, heads, [0] * n) for v in kernel if not v[-1]]
                 if directions:
                     return walk(cols, x, directions)
             else:
-                x = combine([cols[c][r] for c, r in before], slices, [0] * n)
+                x = a
                 # the last column's pairing fails most often: test it first
                 for i in range(j - 1, -1, -1):
                     if dot(cols[i], x) != J[i][j] or (
@@ -959,13 +924,12 @@ def _unitary_members(
             diagonal = dot(units[j], x) if involutions else 0
             if dot(x, x) != J[j][j] or conj[diagonal] != diagonal:
                 return ()
-            cols, shared = cols + [x], None
+            cols = cols + [x]
         return (1 if tally else tuple(zip(*cols)),)
 
     def walk(cols, x, directions):
         j = len(cols)
         last = j == n - 1
-        following = None  # the rows the next column's siblings share
         v = directions[0]
         w = dot(v, v)
         beta = dot(units[j], v) if involutions else 0
@@ -999,9 +963,7 @@ def _unitary_members(
                 count(i + 1 - done)
                 done = i + 1
                 col = [add[ri][mul[c][vi]] for ri, vi in zip(r, v)]
-                if following is None and not last and plan[j + 1][3]:
-                    following = share(j + 1, cols)
-                yield from below(cols + [col], following)
+                yield from below(cols + [col])
             count(size - done)
 
     yield from below([])

@@ -120,18 +120,21 @@ def test_criterion_3_full_reconcile():
             ) == series_T(pp, n).coefficient(n)
 
 
-@pytest.mark.parametrize("q,n,real,strong", [(3, 4, 30, 19), (5, 3, 16, 12)])
-def test_representatives_path_matches_series(q, n, real, strong):
+@pytest.mark.parametrize(
+    "q,n,classes,real,strong", [(3, 4, 188, 30, 19), (5, 3, 192, 16, 12)]
+)
+def test_representatives_path_matches_series(q, n, classes, real, strong):
     """The representatives path closes the loop with the series too: at
-    budget 20,000 every class of U(4, F_3) and U(3, F_5) is decided by the
-    reverser walks, and the real and strongly real records number the
-    coefficients R_n and T_n."""
+    budget 20,000 all 188 classes of U(4, F_3) and all 192 of U(3, F_5) are
+    decided by the reverser walks, and the real and strongly real records
+    number the coefficients R_n and T_n."""
     from strongreal.counting import series_R
     from strongreal.oracle import Budgets
 
     pp = PrimePower(q)
     report = reconcile(n, q, Budgets.uniform(20000))
     assert report.strategy == "representatives"
+    assert len(report.records) == classes
     assert not report.undecided and not report.disagreements
     assert (series_R(pp, n).coefficient(n), series_T(pp, n).coefficient(n)) == (real, strong)
     assert sum(1 for r in report.records if r.oracle_real) == real

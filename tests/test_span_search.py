@@ -2,9 +2,8 @@
 invariant-form search of realize_class, against the candidate-by-candidate
 scan it replaced, and the column-by-column search for the unitary members
 of a matrix space, against the reversing-space scan it replaced, against
-its own form before the norm solve, and against the walk that rebuilt and
-eliminated every pairing system before determined columns and shared
-sibling rows."""
+its own form before the norm solve, and against the walk that built and
+eliminated a pairing system for every column, determined or not."""
 
 import functools
 import itertools
@@ -640,9 +639,9 @@ def test_reconcile_u43_budget_20000():
 
 
 def reference_pairing_walk(F, basis, J, budget, coeffs=None, involutions=False, tally=False):
-    """The reverser walk before determined columns were checked in place
-    and sibling nodes shared their rows: every node builds its whole
-    pairing system, Hermitian rows included, and hands it to nullspace.
+    """The reverser walk before determined columns were checked in place:
+    every node builds its whole pairing system, Hermitian rows included,
+    and hands it to nullspace.
     The reference for _unitary_members, with its involutions and tally
     modes; node counts, members, tallies and raises must agree."""
     n = len(J)
@@ -862,7 +861,7 @@ def test_determined_columns_u43_regular_unipotent(c, nodes):
 
 
 @pytest.mark.stretch
-def test_shared_rows_u53_split_unipotent():
+def test_drained_walks_u53_split_unipotent():
     # (1) at t + 1 plus (2,1,1) at t - 1 in U(5, F_3): m = 11, a Hermitian
     # drain without an involution and a full tally of |C(g)| leaves
     F, basis, J = pinned_basis(3, 5, [(1, [1]), (2, [2, 1, 1])])
