@@ -16,7 +16,7 @@ comparison only.
 
 from __future__ import annotations
 
-from .classdata import ClassDatum, class_datum, is_real, partitions_of
+from .classdata import ClassDatum, class_datum, partitions_of
 from .classify import STRONGLY_REAL, strongly_real
 from .errors import CountMismatchError, EnumerationBoundError
 from .fields import PrimePower, _Frozen, _set
@@ -270,14 +270,12 @@ def cross_check_counts(n_max: int, q: PrimePower) -> CountCrossCheck:
     for n in range(0, n_max + 1):
         data = enumerate_class_data(n, q)
         _check("K", n, len(data), k_series)
+        verdicts = [strongly_real(d) for d in data]
+        direct_real, direct_sr = sum(v.real for v in verdicts), None
         if odd:
-            verdicts = [strongly_real(d) for d in data]
-            direct_real = sum(v.real for v in verdicts)
             direct_sr = sum(v.status == STRONGLY_REAL for v in verdicts)
             _check("R", n, direct_real, r_series)
             _check("T", n, direct_sr, t_series)
-        else:
-            direct_real, direct_sr = sum(map(is_real, data)), None
         rows.append(CountRow(n, len(data), direct_real, direct_sr))
     notes = []
     if odd and n_max >= 1:

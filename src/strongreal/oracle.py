@@ -535,49 +535,18 @@ def _span(F: GFTable, basis, coeffs, start=None):
 def _first_nondegenerate(F: GFTable, basis, p: int, budget: int) -> Matrix:
     """The first invertible member of the GF(p)-span in _span's counter
     order, among candidates 1 .. budget (candidate 0 is the zero matrix).
-
-    Walked from the high digits down: with the coefficients of basis[k:]
-    fixed to the partial sum P, the next p^k candidates differ from P only
-    by members of the span of basis[:k].  A row that is zero in P and in
-    all of basis[:k] is zero in each of them, so the whole block is skipped
-    in one step; its candidates still count against the budget.
-    """
+    A candidate with a zero row is passed over before its determinant."""
     m = len(basis)
     if m == 0:
         raise RealizationError("invariant form space is zero")
     n = len(basis[0])
-    add, mul = F.add, F.mul
-    last = min(p**m - 1, budget)
-    # the packed ints 0 .. p-1 are the elements of GF(p)
-    scaled = [[[tuple(mul[c][x] for x in row) for row in B] for c in range(p)] for B in basis]
-    # free[k]: the rows that are zero in every one of basis[:k]
-    free = [[r for r in range(n) if not any(any(B[r]) for B in basis[:k])] for k in range(m + 1)]
-
-    def block(k, P, first):
-        if any(not any(P[r]) for r in free[k]):
-            return None
-        if k == 0:
-            return P if mat_det(F, P) else None
-        k -= 1
-        for c in range(p):
-            start = first + c * p**k
-            if start > last:
-                return None
-            Q = P if not c else tuple(
-                tuple(add[a][b] for a, b in zip(row, s)) if any(s) else row
-                for row, s in zip(P, scaled[k][c])
-            )
-            X = block(k, Q, start)
-            if X is not None:
-                return X
-        return None
-
-    X = block(m, ((0,) * n,) * n, 0)
-    if X is None:
-        raise RealizationBudgetError(
-            f"no nondegenerate invariant form within {budget} candidates"
-        )
-    return X
+    for h in itertools.islice(_span(F, basis, range(p)), 1, min(p**m, budget + 1)):
+        X = tuple(zip(*[iter(h)] * n))
+        if all(map(any, X)) and mat_det(F, X):
+            return X
+    raise RealizationBudgetError(
+        f"no nondegenerate invariant form within {budget} candidates"
+    )
 
 
 def congruence_to_identity(F: GFTable, X: Matrix) -> Matrix:
@@ -1234,11 +1203,12 @@ def _representative_records(data, form: HermitianForm, budgets: Budgets):
     return [(datum, *found[datum]) for datum in data]
 
 
-def _check_orbit_data(n: int, pp: PrimePower, data, sizes) -> None:
-    """The data read off the conjugacy orbits must be pairwise distinct and
-    be exactly the enumerated classes of U(n, F_q), and the orbit of each
-    datum, of the given size, must have |U(n, F_q)| / |C(datum)| elements."""
-    expected = set(enumerate_class_data(n, pp, max_n=n, max_q=pp.q))
+def _check_orbit_data(n: int, pp: PrimePower, found, sizes, expected) -> None:
+    """The data of the records read off the conjugacy orbits must be
+    pairwise distinct and be exactly the expected data, the enumerated
+    classes of U(n, F_q), and the orbit of each datum, of the given size,
+    must have |U(n, F_q)| / |C(datum)| elements."""
+    data, expected = [datum for datum, _, _ in found], set(expected)
     if len(set(data)) != len(data) or set(data) != expected:
         raise CountMismatchError(
             f"{len(data)} conjugacy orbits give {len(set(data))} distinct data, "
@@ -1258,6 +1228,7 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
     classifier.  Budget exhaustion is recorded per class, never skipped."""
     pp = prime_power(q)
     form = identity_form(n, pp)
+    data = enumerate_class_data(n, pp, max_n=n, max_q=pp.q)
     try:
         group = enumerate_group(n, pp, form, budgets)
     except BudgetExceededError:
@@ -1275,10 +1246,9 @@ def reconcile(n: int, q, budgets: Budgets = DEFAULT_BUDGETS) -> OracleReport:
             g = group.codec.decode(group.codes[i])
             found.append((extract_class_datum(g, pp), orbit[group.inverse[i]] == oid, oid in strong))
         sizes = Counter(orbit)
-        _check_orbit_data(n, pp, [datum for datum, _, _ in found], [sizes[oid] for oid in reps])
+        _check_orbit_data(n, pp, found, [sizes[oid] for oid in reps], data)
         strategy, group_order = group.strategy, group.order
     else:
-        data = enumerate_class_data(n, pp, max_n=n, max_q=pp.q)
         found = _representative_records(data, form, budgets)
         strategy, group_order = "representatives", None
     records = sorted(

@@ -241,8 +241,7 @@ def test_cross_check_enumerates_each_n_once(pp, monkeypatch):
 
 @pytest.mark.parametrize("pp", [PP5, PP2])
 def test_cross_check_runs_is_real_once_per_class(pp, monkeypatch):
-    # odd q reads reality off each class's one strongly_real verdict; even
-    # q, which counts no strongly real classes, calls is_real itself
+    # both parities read reality off each class's one strongly_real verdict
     calls = []
 
     def counted(d):
@@ -250,7 +249,6 @@ def test_cross_check_runs_is_real_once_per_class(pp, monkeypatch):
         return is_real(d)
 
     monkeypatch.setattr(classify, "is_real", counted)
-    monkeypatch.setattr(counting, "is_real", counted)
     table = cross_check_counts(4, pp)
     assert len(calls) == sum(r.direct_all for r in table.rows)
 
