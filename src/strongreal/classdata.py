@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import DatumError, NegationUndefinedError
-from .fields import PrimePower, _Frozen, _set, make_context
+from .fields import PrimePower, _Frozen, make_context
 from .upoly import (
     MonicPoly,
     UIrreducible,
@@ -36,7 +36,7 @@ class Partition(_Frozen):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        _set(self, "parts", parts)
+        super().__init__(parts)
 
     # a > b and a >= b fall back to b < a and b <= a
     def __lt__(self, other):
@@ -118,10 +118,6 @@ class ClassDatum(_Frozen):
     """
 
     __slots__ = ("q", "blocks")
-
-    def __init__(self, q: PrimePower, blocks: tuple[tuple[UIrreducible, Partition], ...]):
-        _set(self, "q", q)
-        _set(self, "blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -346,8 +342,7 @@ class SignedPartition(_Frozen):
             raise DatumError("signs must be +1 or -1")
         if tuple(sorted(signs, reverse=True)) != signs:
             raise DatumError("signs must be sorted by part, descending")
-        _set(self, "base", base)
-        _set(self, "signs", signs)
+        super().__init__(base, signs)
 
     @property
     def size(self) -> int:
@@ -408,17 +403,15 @@ class SymplecticClassDatum(_Frozen):
     def __init__(
         self, pairs: ClassDatum, signed_plus: SignedPartition, signed_minus: SignedPartition
     ):
-        _set(self, "pairs", pairs)
-        _set(self, "signed_plus", signed_plus)
-        _set(self, "signed_minus", signed_minus)
-        if self.q.p == 2:
+        if pairs.q.p == 2:
             raise DatumError("symplectic data here require odd q")
-        if {t_minus_one(self.q), t_plus_one(self.q)} & {f for f, _ in self.blocks}:
+        if {t_minus_one(pairs.q), t_plus_one(pairs.q)} & {f for f, _ in pairs.blocks}:
             raise DatumError("t+-1 belongs in the signed components")
-        if not is_real(self.pairs):
+        if not is_real(pairs):
             raise DatumError("blocks must satisfy mu(f) = mu(tilde f)")
-        if self.n2 % 2:
+        if (signed_plus.size + signed_minus.size + pairs.n) % 2:
             raise DatumError("total degree of a symplectic datum must be even")
+        super().__init__(pairs, signed_plus, signed_minus)
 
     @property
     def q(self) -> PrimePower:

@@ -24,7 +24,7 @@ from .classdata import (
     t_plus_one,
     unipotent_datum,
 )
-from .fields import PrimePower, _Frozen, _set
+from .fields import PrimePower, _Frozen
 
 STRONGLY_REAL = "StronglyReal"
 NOT_STRONGLY_REAL = "NotStronglyReal"
@@ -45,10 +45,9 @@ class Verdict(_Frozen):
             raise ValueError(f"bad status {status!r}")
         if status != UNKNOWN and not rule:
             raise ValueError("decided verdicts must cite a rule")
-        _set(self, "status", status)
-        _set(self, "rule", rule)
         # a dict or (key, value) pairs, kept as pairs in key order so that verdicts hash
-        _set(self, "witness", None if witness is None else tuple(sorted(dict(witness).items())))
+        witness = None if witness is None else tuple(sorted(dict(witness).items()))
+        super().__init__(status, rule, witness)
 
     @property
     def witness_hint(self) -> dict | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .classdata import ClassDatum, class_datum, partitions_of
 from .classify import STRONGLY_REAL, strongly_real
 from .errors import CountMismatchError, EnumerationBoundError
-from .fields import PrimePower, _Frozen, _set
+from .fields import PrimePower, _Frozen
 from .upoly import count_self_conjugate, enumerate_u_irreducibles
 
 # direct enumeration guard: n <= 8 for q <= 5 by default
@@ -35,8 +35,7 @@ class Series(_Frozen):
     def __init__(self, order: int, coeffs: tuple[int, ...]):
         if len(coeffs) != order + 1:
             raise ValueError("coefficient vector must have length order+1")
-        _set(self, "order", order)
-        _set(self, "coeffs", coeffs)
+        super().__init__(order, coeffs)
 
     def coefficient(self, n: int) -> int:
         return self.coeffs[n]
@@ -195,18 +194,10 @@ def enumerate_class_data(
 
 class CountRow(_Frozen):
     """Class counts of U(n, F_q) by direct enumeration, each equal to its
-    series coefficient; R is checked against its series only for odd q."""
+    series coefficient; R is checked against its series only for odd q, and
+    direct_strongly_real is None for even q, which has no counting formula."""
 
     __slots__ = ("n", "direct_all", "direct_real", "direct_strongly_real")
-
-    def __init__(
-        self, n: int, direct_all: int, direct_real: int,
-        direct_strongly_real: int | None,  # None when q is even (no counting formula)
-    ):
-        _set(self, "n", n)
-        _set(self, "direct_all", direct_all)
-        _set(self, "direct_real", direct_real)
-        _set(self, "direct_strongly_real", direct_strongly_real)
 
     def to_json(self):
         odd = self.direct_strongly_real is not None
@@ -225,11 +216,6 @@ class CountCrossCheck(_Frozen):
     """Per-n agreement table of direct enumeration against the series."""
 
     __slots__ = ("q", "rows", "notes")
-
-    def __init__(self, q: PrimePower, rows: tuple[CountRow, ...], notes: tuple[str, ...]):
-        _set(self, "q", q)
-        _set(self, "rows", rows)
-        _set(self, "notes", notes)
 
     def to_json(self):
         return {

@@ -37,13 +37,25 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable value whose fields are its __slots__, listed in __init__
-    order and each set once by its __init__ through _set.  Two values of one
-    class are equal, and hash, by _key(), the tuple of the fields.  Written
-    out rather than made by @dataclass, whose import and per-class code
-    generation slow the start of every process."""
+    """Immutable value whose fields are its __slots__, each set once by
+    _Frozen.__init__.  A class that checks or defaults its fields does so in
+    its own __init__, then passes them on in __slots__ order.  Two values of
+    one class are equal, and hash, by _key(), the tuple of the fields.
+    Written out rather than made by @dataclass, whose import and per-class
+    code generation slow the start of every process."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        # keywords may fill the fields after the positional values; a field
+        # left out, or a keyword left over, makes the count differ
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values):] if name in named)
+        if len(values) != len(names) or named:
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -87,8 +99,7 @@ class PrimePower(_Frozen):
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("exponent must be positive")
-        _set(self, "p", p)
-        _set(self, "e", e)
+        super().__init__(p, e)
 
     @property
     def q(self) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     RealizationBudgetError,
     RealizationError,
 )
-from .fields import GFTable, PrimePower, _Frozen, _set, make_context, prime_power, table_for
+from .fields import GFTable, PrimePower, _Frozen, make_context, prime_power, table_for
 from .linalg import (
     Matrix,
     _eliminate,
@@ -64,10 +64,7 @@ class Budgets(_Frozen):
         reversing_scan: int = 10**7,    # cap on nodes of the unitary reverser search
         realize_scan: int = 200_000,    # cap on invariant-form search candidates
     ):
-        _set(self, "entry_scan", entry_scan)
-        _set(self, "group_order", group_order)
-        _set(self, "reversing_scan", reversing_scan)
-        _set(self, "realize_scan", realize_scan)
+        super().__init__(entry_scan, group_order, reversing_scan, realize_scan)
 
     @staticmethod
     def uniform(value: int) -> "Budgets":
@@ -89,12 +86,16 @@ class HermitianForm(_Frozen):
 
     def __init__(self, q: PrimePower, gram: Matrix):
         F = table_for(q)
+        n = len(gram)
+        if any(len(row) != n for row in gram):
+            raise ValueError(f"gram matrix is not {n} x {n}")
+        if not all(isinstance(a, int) and a in range(F.size) for row in gram for a in row):
+            raise ValueError(f"gram entries must be packed field elements 0 .. {F.size - 1}")
         if not is_hermitian(F, gram):
             raise ValueError("gram matrix is not Hermitian")
         if mat_det(F, gram) == 0:
             raise ValueError("gram matrix is singular")
-        _set(self, "q", q)
-        _set(self, "gram", gram)
+        super().__init__(q, gram)
 
     @property
     def n(self) -> int:
@@ -977,17 +978,10 @@ def is_real_oracle(
 
 
 class ClassRecord(_Frozen):
-    __slots__ = ("datum", "oracle_real", "oracle_strongly_real", "verdict")
+    """The oracle's answers on one class next to the classifier's verdict;
+    an oracle answer is None when every strategy ran out of budget."""
 
-    def __init__(
-        self, datum: ClassDatum,
-        oracle_real: bool | None,  # None when every strategy ran out of budget
-        oracle_strongly_real: bool | None, verdict: classify.Verdict,
-    ):
-        _set(self, "datum", datum)
-        _set(self, "oracle_real", oracle_real)
-        _set(self, "oracle_strongly_real", oracle_strongly_real)
-        _set(self, "verdict", verdict)
+    __slots__ = ("datum", "oracle_real", "oracle_strongly_real", "verdict")
 
     @property
     def classifier_real(self) -> bool:
@@ -1022,17 +1016,6 @@ class ClassRecord(_Frozen):
 
 class OracleReport(_Frozen):
     __slots__ = ("n", "q", "strategy", "group_order", "records", "budgets")
-
-    def __init__(
-        self, n: int, q: PrimePower, strategy: str, group_order: int | None,
-        records: tuple[ClassRecord, ...], budgets: Budgets,
-    ):
-        _set(self, "n", n)
-        _set(self, "q", q)
-        _set(self, "strategy", strategy)
-        _set(self, "group_order", group_order)
-        _set(self, "records", records)
-        _set(self, "budgets", budgets)
 
     @property
     def disagreements(self):

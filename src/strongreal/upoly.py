@@ -22,7 +22,7 @@ from .errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from .fields import FieldCtx, PrimePower, _Frozen, _set, make_context, table_for
+from .fields import FieldCtx, PrimePower, _Frozen, make_context, table_for
 
 SELF_CONJ_ENUM_BOUND = 10**7
 
@@ -35,10 +35,6 @@ class MonicPoly(_Frozen):
     """
 
     __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
-        _set(self, "ctx", ctx)
-        _set(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -136,10 +132,6 @@ class UIrreducible(_Frozen):
     """A U-irreducible polynomial with a descriptor of its root orbit."""
 
     __slots__ = ("poly", "orbit_rep")
-
-    def __init__(self, poly: MonicPoly, orbit_rep: int):
-        _set(self, "poly", poly)
-        _set(self, "orbit_rep", orbit_rep)
 
     @property
     def degree(self) -> int:

@@ -37,7 +37,7 @@ Q3 = PrimePower(3)
 
 
 def _fields():
-    """Per value class, field values in __init__ order."""
+    """Per value class, field values in __slots__ order."""
     f = t_minus_one(Q3)
     datum = unipotent_datum(Q3, Partition((2, 1)))
     verdict = classify.Verdict(classify.NOT_STRONGLY_REAL, "MainThm")
@@ -98,6 +98,28 @@ def test_value_semantics(cls):
     assert [getattr(a, name) for name in names] == list(values)
 
 
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_construction_takes_exactly_the_fields(cls):
+    values = _fields()[cls]
+    named = dict(zip(cls.__slots__, values))
+    # the fields without a default, which come first
+    required = cls.__slots__[: len(cls.__slots__) - len(cls.__init__.__defaults__ or ())]
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in named.items() if k != name})
+        with pytest.raises(TypeError):
+            cls(*values[: required.index(name)])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError):
+        cls(**named, extra=1)
+    for k, name in enumerate(cls.__slots__):
+        with pytest.raises(TypeError):
+            cls(*values[: k + 1], **{name: values[k]})
+
+
 def test_verdicts_with_a_witness_hash_and_reports_compare_by_value():
     q2 = PrimePower(2)
     verdicts = [
@@ -156,6 +178,23 @@ def test_defaults():
 def test_validation_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        (((9,),), "field elements"),
+        (((-1,),), "field elements"),
+        (((1.0,),), "field elements"),
+        ((("1",),), "field elements"),
+        (((1, 0),), "not 1 x 1"),
+        (((1,), (0, 1)), "not 2 x 2"),
+    ],
+)
+def test_hermitian_form_rejects_malformed_grams(gram, message):
+    # checked before the Hermitian test, which would index the tables with them
+    with pytest.raises(ValueError, match=message):
+        HermitianForm(Q3, gram)
 
 
 def test_partition_order_and_repr():
