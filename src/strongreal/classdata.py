@@ -63,6 +63,12 @@ class Partition(_Frozen):
             out[p] = out.get(p, 0) + 1
         return out
 
+    def unpaired(self, parity: int, least: int = 1) -> list[int]:
+        """The parts p >= least with p % 2 == parity and odd multiplicity, ascending."""
+        return sorted(
+            p for p, m in self.multiplicities().items() if p >= least and p % 2 == parity and m % 2
+        )
+
     def __iter__(self):
         return iter(self.parts)
 
@@ -302,14 +308,22 @@ def u_sequence(d: ClassDatum) -> list[MonicPoly]:
     return out
 
 
+def _parts_from_json(parts) -> list[int]:
+    """Partition parts as JSON gives them; each must be an int, since int()
+    would read 1.9 and true as 1 and "2" as 2."""
+    parts = list(parts)
+    if not all(type(p) is int for p in parts):
+        raise TypeError(f"partition parts must be ints, got {parts}")
+    return parts
+
+
 def datum_from_json(obj) -> ClassDatum:
     q = PrimePower(obj["q"]["p"], obj["q"].get("e", 1))
     ctx = make_context(q, 2)
     divisors = []
     for block in obj["blocks"]:
         base = poly_from_json(ctx, block["poly"])
-        for part in block["partition"]:
-            divisors.append((base, int(part)))
+        divisors += [(base, part) for part in _parts_from_json(block["partition"])]
     datum = make_class_datum(q, divisors, expected_n=obj.get("n"))
     return datum
 
@@ -328,13 +342,12 @@ class SignedPartition(_Frozen):
     __slots__ = ("base", "signs")
 
     def __init__(self, base: Partition, signs: tuple[tuple[int, int], ...] = ()):
-        mults = base.multiplicities()
-        for part, m in mults.items():
-            if part % 2 == 1 and m % 2 == 1:
-                raise DatumError(
-                    f"odd part {part} has odd multiplicity {m} in a signed partition"
-                )
-        even_values = {part for part in mults if part % 2 == 0}
+        if odd := base.unpaired(1):  # name the largest
+            raise DatumError(
+                f"odd part {odd[-1]} has odd multiplicity {base.mult(odd[-1])} "
+                "in a signed partition"
+            )
+        even_values = {part for part in base if part % 2 == 0}
         sign_domain = {part for part, _ in signs}
         if sign_domain != even_values:
             raise DatumError("signs must cover exactly the even part values")
@@ -378,10 +391,9 @@ def enumerate_signed_partitions(weight: int) -> tuple[SignedPartition, ...]:
     """All symplectic signed partitions of the given weight."""
     out = []
     for base in partitions_of(weight):
-        mults = base.multiplicities()
-        if any(p % 2 and m % 2 for p, m in mults.items()):
+        if base.unpaired(1):
             continue
-        evens = sorted((p for p in mults if p % 2 == 0), reverse=True)
+        evens = sorted({p for p in base if p % 2 == 0}, reverse=True)
         for mask in range(1 << len(evens)):
             signs = tuple(
                 (p, 1 if mask >> i & 1 == 0 else -1) for i, p in enumerate(evens)
@@ -460,7 +472,7 @@ def sp_datum_from_json(obj) -> SymplecticClassDatum:
         signs = {
             int(p): (1 if s == "+" else -1) for p, s in sub.get("signs", {}).items()
         }
-        return signed_partition(sub["partition"], signs)
+        return signed_partition(_parts_from_json(sub["partition"]), signs)
 
     datum = SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))
     expected = obj.get("n2")

@@ -71,10 +71,18 @@ class Verdict(_Frozen):
         return f"Verdict({self.status}{extra})"
 
 
-def _even_part_odd_mult(mu: Partition):
-    """Smallest even part with odd multiplicity, or None."""
-    bad = [p for p, m in mu.multiplicities().items() if p % 2 == 0 and m % 2 == 1]
-    return min(bad) if bad else None
+def _unpaired_even(rule: str, at_minus: Partition, at_plus: Partition) -> list[Verdict]:
+    """A NotStronglyReal verdict by rule for each of t-1 and t+1, in that
+    order, with an even part of odd multiplicity; it names the smallest."""
+    return [
+        Verdict(
+            NOT_STRONGLY_REAL,
+            rule,
+            {"poly": label, "even_part": bad[0], "multiplicity": mu.mult(bad[0])},
+        )
+        for label, mu in (("t-1", at_minus), ("t+1", at_plus))
+        if (bad := mu.unpaired(0))
+    ]
 
 
 def orthogonal_embeddable(d: ClassDatum) -> bool:
@@ -98,12 +106,7 @@ def symplectic_embeddable_even_q(d: ClassDatum) -> bool:
         raise ValueError("symplectic embedding criterion requires even q")
     if d.n % 2:
         raise ValueError("symplectic embedding criterion requires even dimension")
-    return is_real(d) and _odd_parts_paired(d.partition_at(t_minus_one(d.q)), 3)
-
-
-def _odd_parts_paired(mu: Partition, least: int) -> bool:
-    """Every odd part >= least has even multiplicity."""
-    return all(m % 2 == 0 for p, m in mu.multiplicities().items() if p % 2 == 1 and p >= least)
+    return is_real(d) and not d.partition_at(t_minus_one(d.q)).unpaired(1, 3)
 
 
 def _real2_applies(mu: Partition) -> int:
@@ -112,9 +115,9 @@ def _real2_applies(mu: Partition) -> int:
     Branch 1: every odd part >= 3 has even multiplicity.
     Branch 2: part 1 is present and every odd part >= 5 has even multiplicity.
     """
-    if _odd_parts_paired(mu, 3):
+    if not mu.unpaired(1, 3):
         return 1
-    if mu.mult(1) >= 1 and _odd_parts_paired(mu, 5):
+    if mu.mult(1) >= 1 and not mu.unpaired(1, 5):
         return 2
     return 0
 
@@ -151,18 +154,13 @@ def strongly_real(d: ClassDatum) -> Verdict:
     if not is_real(d):
         return Verdict(NOT_STRONGLY_REAL, RULE_REALITY)
     if d.q.p != 2:
-        worst = None
-        for f in (t_minus_one(d.q), t_plus_one(d.q)):
-            bad = _even_part_odd_mult(d.partition_at(f))
-            if bad is not None and (worst is None or bad < worst[1]):
-                label = "t-1" if f == t_minus_one(d.q) else "t+1"
-                worst = (label, bad, d.partition_at(f).mult(bad))
-        if worst is None:
-            return Verdict(STRONGLY_REAL, RULE_MAIN)
-        return Verdict(
-            NOT_STRONGLY_REAL,
-            RULE_MAIN,
-            {"poly": worst[0], "even_part": worst[1], "multiplicity": worst[2]},
+        at = d.partition_at
+        found = _unpaired_even(RULE_MAIN, at(t_minus_one(d.q)), at(t_plus_one(d.q)))
+        # the smallest part over both; min keeps the first of a tie, t-1
+        return min(
+            found,
+            key=lambda v: v.witness_hint["even_part"],
+            default=Verdict(STRONGLY_REAL, RULE_MAIN),
         )
     # even q: strong reality is decided by the t-1 block alone
     mu = d.partition_at(t_minus_one(d.q))
@@ -208,16 +206,5 @@ def sp_strongly_real(d: SymplecticClassDatum) -> Verdict:
     underlying partition at t-1 or t+1; no positive criterion is available,
     so everything else is Unknown.
     """
-    for label, sp in (("t-1", d.signed_plus), ("t+1", d.signed_minus)):
-        bad = _even_part_odd_mult(sp.base)
-        if bad is not None:
-            return Verdict(
-                NOT_STRONGLY_REAL,
-                RULE_SPCOR,
-                {
-                    "poly": label,
-                    "even_part": bad,
-                    "multiplicity": sp.base.mult(bad),
-                },
-            )
-    return Verdict(UNKNOWN)
+    found = _unpaired_even(RULE_SPCOR, d.signed_plus.base, d.signed_minus.base)
+    return found[0] if found else Verdict(UNKNOWN)

@@ -794,10 +794,10 @@ def _unitary_members(
     of q^2.  For (J v)[j] = 0 it does not involve c: an r with (J r)[j]
     outside GF(q) is one node, and any other r keeps all its candidates.
 
-    With tally, the walk yields, in place of the members, how many it found
-    at each step of the last column, and builds none of them: the sum is the
-    member count, and where the walk raises it is the number of members it
-    would have yielded first.  Nodes are counted as without tally.
+    With tally, the walk yields 1 in place of each member and builds no
+    last column and no matrix for it, so the sum is the member count, and
+    where the walk raises it is the number of members it would have yielded
+    first.  Nodes are counted, and the budget checked, as without tally.
 
     When _columns_confined finds too many columns sharing one span, no
     member is invertible, let alone unitary, and the search ends before its
@@ -916,22 +916,14 @@ def _unitary_members(
             found = solutions(w, dot(r, v)).get(sub(J[j][j], dot(r, r)), ())
             if places is not None:
                 found = [(places[c], c) for _, c in found if c in places]
-            if tally and last:
-                # the solving c whose candidates come within budget
-                within = 0
-                for i, _ in found:
-                    if nodes + i + 1 > budget:
-                        break
-                    within += 1
-                if within:
-                    yield within
-                count(size)
-                continue
             done = 0
             for i, c in found:
                 # the candidates done .. i - 1 of this block fail the norm
                 count(i + 1 - done)
                 done = i + 1
+                if tally and last:
+                    yield 1
+                    continue
                 col = [add[ri][mul[c][vi]] for ri, vi in zip(r, v)]
                 yield from below(cols + [col])
             count(size - done)

@@ -206,10 +206,25 @@ def test_signed_partition_validation():
     assert g.signs == ((4, -1), (2, 1))
     with pytest.raises(DatumError):
         signed_partition([3], {})  # odd part with odd multiplicity
+    # with several, the message names the largest
+    message = "^odd part 3 has odd multiplicity 1 in a signed partition$"
+    with pytest.raises(DatumError, match=message):
+        signed_partition([3, 1], {})
     with pytest.raises(DatumError):
         signed_partition([2, 2], {})  # missing sign
     with pytest.raises(DatumError):
         signed_partition([1, 1], {2: 1})  # sign without the part
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("least", [1, 3, 5])
+def test_unpaired_parts(parity, least):
+    for n in range(11):
+        for mu in partitions_of(n):
+            expected = [
+                p for p in range(least, n + 1) if p % 2 == parity and mu.parts.count(p) % 2
+            ]
+            assert mu.unpaired(parity, least) == expected, mu
 
 
 def test_enumerate_signed_partitions():

@@ -80,6 +80,18 @@ def test_odd_q_witness_hint():
     )
     assert v2.status == NOT_STRONGLY_REAL
     assert v2.witness_hint == {"poly": "t+1", "even_part": 2, "multiplicity": 1}
+    # unpaired even parts at both t-1 and t+1: MainThm names the smallest
+    # part, t-1 winning a tie, and SpCor the one at t-1 whenever it has one
+    for minus, plus, poly, part in (([2], [2], "t-1", 2), ([4], [2], "t+1", 2)):
+        d = class_datum(PP3, {t_minus_one(PP3): minus, t_plus_one(PP3): plus})
+        assert strongly_real(d) == Verdict(
+            NOT_STRONGLY_REAL, RULE_MAIN, {"poly": poly, "even_part": part, "multiplicity": 1}
+        )
+    for minus, plus, poly, part in (([4], [2], "t-1", 4), ([2, 2], [2], "t+1", 2)):
+        signed = [signed_partition(parts, {p: 1 for p in parts}) for parts in (minus, plus)]
+        assert sp_strongly_real(symplectic_datum(PP3, {}, *signed)) == Verdict(
+            NOT_STRONGLY_REAL, RULE_SPCOR, {"poly": poly, "even_part": part, "multiplicity": 1}
+        )
 
 
 def test_even_q_examples():

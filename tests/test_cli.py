@@ -137,6 +137,32 @@ def test_malformed_datum_file_is_a_usage_error(tmp_path, capsys, content):
         assert err.startswith("usage error: malformed datum file")
 
 
+@pytest.mark.parametrize(
+    "verb,parts",
+    [
+        (["classify"], [1.9, 1]),
+        (["classify"], [True, 1]),
+        (["classify"], ["2"]),
+        (["realize"], [1.9, 1]),
+        (["classify", "--sp"], [2.7, 2]),
+    ],
+    ids=["float", "bool", "string", "realize-float", "sp-float"],
+)
+def test_non_int_partition_part_is_a_usage_error(tmp_path, capsys, verb, parts):
+    # a part at t - 1 is not truncated or parsed into an int: [1.9, 1] is not (1, 1)
+    q = {"e": 1, "p": 3}
+    if "--sp" in verb:
+        content = {"q": q, "t_minus_1": {"partition": parts, "signs": {"2": "+"}}}
+    else:
+        content = {"q": q, "blocks": [{"partition": parts, "poly": [[2, 0]]}]}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *verb, "--q", "3", "--datum", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: malformed datum file")
+
+
 def test_unreadable_datum_path_is_a_usage_error(tmp_path, capsys):
     # a directory opens with IsADirectoryError, an OSError like a missing file
     for verb in ("classify", "realize"):
