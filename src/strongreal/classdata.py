@@ -469,9 +469,10 @@ def sp_datum_from_json(obj) -> SymplecticClassDatum:
         sub = obj.get(key)
         if not sub:
             return EMPTY_SIGNED
-        signs = {
-            int(p): (1 if s == "+" else -1) for p, s in sub.get("signs", {}).items()
-        }
+        raw = sub.get("signs", {})
+        if not all(s in ("+", "-") for s in raw.values()):
+            raise TypeError(f'signs must be "+" or "-", got {raw}')
+        signs = {int(p): (1 if s == "+" else -1) for p, s in raw.items()}
         return signed_partition(_parts_from_json(sub["partition"]), signs)
 
     datum = SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))

@@ -8,7 +8,9 @@ label conjugacy data throughout the package.
 
 The tilde involution sends a polynomial with nonzero constant to the monic
 polynomial whose roots are the inverses of its roots; a polynomial over GF(q)
-fixed by tilde is called self-conjugate.
+fixed by tilde is called self-conjugate.  On U-irreducibles tilde is a
+permutation read off the orbit scan that finds them: the inverse roots of the
+exponent orbit of i are the orbit of -i.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class UIrreducible(_Frozen):
 
 @cache
 def _u_irreducibles_of_degree(pp: PrimePower, d: int):
+    """The degree-d U-irreducibles ordered by coeffs, and tilde on them as a
+    dict keyed by coeffs, both read off one scan of the root orbits."""
     q = pp.q
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
@@ -161,7 +165,10 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
     # at d = 1 the host is GF(q^2) itself; skip its q^2-entry identity map
     down = host.subfield_map(ctx2) if d > 1 else None
     visited = bytearray(order)
-    polys = []
+    # orbits are keyed by their smallest exponent, which the scan meets first;
+    # the inverse roots of the orbit of i are the orbit of -i
+    by_least = {}
+    partner = {}
     covered = 0
     for i in range(order):
         if visited[i]:
@@ -190,14 +197,16 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
         assert coeffs[-1] == 1
         small = tuple(coeffs[:-1] if down is None else (down[c] for c in coeffs[:-1]))
         rep = min(exp[idx] for idx in orbit)
-        polys.append(UIrreducible(MonicPoly(ctx2, small), rep))
+        by_least[i] = UIrreducible(MonicPoly(ctx2, small), rep)
+        partner[i] = min(-idx % order for idx in orbit)
     assert covered == order, "orbit scan must partition the subgroup"
-    return tuple(sorted(polys, key=lambda u: u.sort_key()))
+    tilde_of = {u.poly.coeffs: by_least[partner[i]] for i, u in by_least.items()}
+    return tuple(sorted(by_least.values(), key=lambda u: u.sort_key())), tilde_of
 
 
 @cache
 def _by_coeffs(pp: PrimePower, d: int) -> dict:
-    return {u.poly.coeffs: u for u in _u_irreducibles_of_degree(pp, d)}
+    return {u.poly.coeffs: u for u in _u_irreducibles_of_degree(pp, d)[0]}
 
 
 def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
@@ -206,7 +215,7 @@ def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
         raise ValueError("degree bound must be at least 1")
     out = []
     for d in range(1, max_total_degree + 1):
-        out.extend(_u_irreducibles_of_degree(q, d))
+        out.extend(_u_irreducibles_of_degree(q, d)[0])
     return tuple(out)
 
 
@@ -218,12 +227,13 @@ def u_irreducible_lookup(q: PrimePower, poly: MonicPoly) -> UIrreducible | None:
 
 
 def tilde(f):
-    """Root inversion: MonicPoly -> MonicPoly or UIrreducible -> UIrreducible."""
+    """Root inversion: MonicPoly -> MonicPoly or UIrreducible -> UIrreducible.
+
+    On a UIrreducible it is a lookup in the pairing the orbit scan recorded,
+    with no field arithmetic.
+    """
     if isinstance(f, UIrreducible):
-        image = tilde(f.poly)
-        out = u_irreducible_lookup(f.ctx.pp, image)
-        assert out is not None, "tilde permutes U-irreducibles"
-        return out
+        return _u_irreducibles_of_degree(f.ctx.pp, f.degree)[1][f.poly.coeffs]
     ctx = f.ctx
     if f.degree == 0:
         return f
@@ -255,7 +265,7 @@ def factor_into_u_irreducibles(u: MonicPoly):
     for d in range(1, u.degree + 1):
         if rest.degree == 0 or d > rest.degree:
             break
-        for cand in _u_irreducibles_of_degree(pp, d):
+        for cand in _u_irreducibles_of_degree(pp, d)[0]:
             mult = 0
             while True:
                 nxt = poly_exact_div(rest, cand.poly)

@@ -163,6 +163,21 @@ def test_non_int_partition_part_is_a_usage_error(tmp_path, capsys, verb, parts):
     assert err.startswith("usage error: malformed datum file")
 
 
+@pytest.mark.parametrize("sign", ["x", 1], ids=["letter", "int"])
+def test_sp_datum_sign_other_than_plus_or_minus_is_a_usage_error(tmp_path, capsys, sign):
+    # a sign is "+" or "-"; anything else is refused, not read as -1
+    path = tmp_path / "sp.json"
+    argv = ("classify", "--q", "3", "--sp", "--datum", str(path))
+    for good in ("+", "-"):
+        path.write_text(json.dumps(dict(SP_DATUM, t_minus_1={"partition": [2], "signs": {"2": good}})))
+        assert run(capsys, *argv)[0] == 0
+    path.write_text(json.dumps(dict(SP_DATUM, t_minus_1={"partition": [2], "signs": {"2": sign}})))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: malformed datum file")
+
+
 def test_unreadable_datum_path_is_a_usage_error(tmp_path, capsys):
     # a directory opens with IsADirectoryError, an OSError like a missing file
     for verb in ("classify", "realize"):

@@ -9,7 +9,7 @@ from strongreal.errors import (
     NotUFactorableError,
     TildeUndefinedError,
 )
-from strongreal.fields import PrimePower, make_context, prime_power, table_for
+from strongreal.fields import FieldCtx, PrimePower, make_context, prime_power, table_for
 from strongreal.upoly import (
     count_self_conjugate,
     enumerate_self_conjugate,
@@ -228,6 +228,47 @@ def test_tilde_involution_on_enumerated():
         tu = tilde(u)
         assert tu.degree == u.degree
         assert tilde(tu) == u
+
+
+# every U-irreducible of degree <= 4 at q <= 5 and of degree <= 3 at q = 7, 8, 9
+TILDE_TABLE_CASES = [(q, 4) for q in (2, 3, 4, 5)] + [(q, 3) for q in (7, 8, 9)]
+
+
+def table_cases():
+    for q, d in TILDE_TABLE_CASES:
+        yield from enumerate_u_irreducibles(prime_power(q), d)
+
+
+def reference_tilde(u):
+    """tilde through the polynomial: invert the constant, reverse, look it up."""
+    return u_irreducible_lookup(u.ctx.pp, tilde(u.poly))
+
+
+def test_tilde_table_matches_the_per_call_tilde_and_is_an_involution():
+    seen = self_paired = 0
+    for u in table_cases():
+        tu = tilde(u)
+        assert tu is reference_tilde(u)
+        assert tu.degree == u.degree
+        assert tilde(tu) is u
+        seen += 1
+        self_paired += tu is u
+    assert (seen, self_paired) == (964, 34)
+
+
+def test_tilde_on_u_irreducibles_does_no_field_arithmetic(monkeypatch):
+    us = list(table_cases())
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic in tilde")
+
+    monkeypatch.setattr(FieldCtx, "inv", refuse)
+    monkeypatch.setattr(FieldCtx, "mul", refuse)
+    # the polynomial tilde still reaches the patched methods
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        tilde(us[0].poly)
+    for u in us:
+        assert tilde(tilde(u)) is u
 
 
 def test_tilde_inverts_roots():
