@@ -115,9 +115,9 @@ def _cmd_classify(args) -> int:
         if args.sp
         else (datum_from_json, _unipotent, classify_mod.strongly_real)
     )
-    if args.datum:
+    if args.datum is not None:
         datum = _read_datum(args.datum, q, reader)
-    elif args.unipotent:
+    elif args.unipotent is not None:
         datum = unipotent(q, args.unipotent)
     else:
         raise UsageError("classify needs --datum or --unipotent")

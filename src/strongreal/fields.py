@@ -259,7 +259,6 @@ class FieldCtx:
         self.modulus = _lex_smallest_irreducible(pp.p, deg)
         self._powers = tuple(self.p**i for i in range(deg))
         self._gen = None
-        self._sub_maps = {}
 
     # -- encoding ----------------------------------------------------------
 
@@ -350,31 +349,13 @@ class FieldCtx:
         """Packed-value dict from this field's copy of `sub` down to `sub`.
 
         The embedding sends sub's power basis to powers of a deterministic
-        root of sub.modulus in this field (smallest packed root).
+        root of sub.modulus in this field (smallest packed root).  On a field
+        of sub's own degree that root is t, so the map is the identity.
         """
-        key = (sub.p, sub.deg)
-        cached = self._sub_maps.get(key)
-        if cached is not None:
-            return cached
         if sub.p != self.p or self.deg % sub.deg:
             raise ValueError("not a subfield of this context")
-        if sub.deg == self.deg:
-            mapping = {a: a for a in range(self.size)}
-            self._sub_maps[key] = mapping
-            return mapping
         root = self._subfield_root(sub)
-        mapping = {}
-        for y in range(sub.size):
-            coords = sub.to_coords(y)
-            acc = 0
-            rp = 1
-            for c in coords:
-                if c:
-                    acc = self.add(acc, self.mul(c % self.p, rp))
-                rp = self.mul(rp, root)
-            mapping[acc] = y
-        self._sub_maps[key] = mapping
-        return mapping
+        return {self._eval_base_poly(sub.to_coords(y), root): y for y in range(sub.size)}
 
     def _subfield_root(self, sub: "FieldCtx") -> int:
         """Smallest packed root of sub.modulus in this field."""

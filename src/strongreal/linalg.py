@@ -109,30 +109,11 @@ def mat_inv(F: GFTable, A: Matrix) -> Matrix:
 
 
 def mat_det(F: GFTable, A: Matrix) -> int:
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    rows = [list(r) for r in A]
-    n = len(rows)
-    det = 1
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = neg[det]
-        det = mul[det][rows[r][c]]
-        pv = inv[rows[r][c]]
-        prow = mul[pv]
-        rows[r] = [prow[x] for x in rows[r]]
-        for i in range(r + 1, n):
-            if rows[i][c]:
-                factor = neg[rows[i][c]]
-                frow = mul[factor]
-                src = rows[r]
-                rows[i] = [add[rows[i][j]][frow[src[j]]] for j in range(n)]
-        r += 1
-    return det
+    """det A = (-1)^n charpoly(A)(0); the 0 x 0 determinant is 1."""
+    if not A:
+        return 1
+    c0 = charpoly(F, A)[0]
+    return F.neg[c0] if len(A) % 2 else c0
 
 
 def is_hermitian(F: GFTable, J: Matrix) -> bool:

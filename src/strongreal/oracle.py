@@ -337,6 +337,8 @@ def enumerate_group(
     F = table_for(pp)
     if form is None:
         form = identity_form(n, pp)
+    if (form.n, form.q) != (n, pp):
+        raise ValueError(f"the form is for U({form.n}, F_{form.q.q}), not U({n}, F_{pp.q})")
     entry_cost = pp.q ** (2 * n * n)
     predicted = unitary_order(n, pp.q)
     if predicted > budgets.group_order:
@@ -419,10 +421,9 @@ def extract_class_datum(g: Matrix, q) -> ClassDatum:
 def _poly_at_matrix(F: GFTable, f: MonicPoly, g: Matrix) -> Matrix:
     """Evaluate a monic polynomial at a matrix (Horner)."""
     n = len(g)
-    coeffs = f.full()
-    acc = tuple(tuple(coeffs[-1] if i == j else 0 for j in range(n)) for i in range(n))
+    acc = identity(n)
     add = F.add
-    for c in reversed(coeffs[:-1]):
+    for c in reversed(f.coeffs):
         acc = mat_mul(F, acc, g)
         if c:
             acc = tuple(
@@ -604,12 +605,12 @@ def realize_class(
     pp = d.q
     F = table_for(pp)
     n = d.n
-    if n == 0:
-        return ()
     if form is None:
         form = identity_form(n, pp)
-    if form.n != n:
-        raise RealizationError("form dimension does not match the datum")
+    if (form.n, form.q) != (n, pp):
+        raise RealizationError(f"the form is for U({form.n}, F_{form.q.q}), not U({n}, F_{pp.q})")
+    if n == 0:
+        return ()
     g0 = _jordan_style_matrix(F, d)
     basis = _invariant_hermitian_basis(pp, g0)
     X = _first_nondegenerate(F, basis, pp.p, budgets.realize_scan)

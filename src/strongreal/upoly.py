@@ -152,8 +152,8 @@ class UIrreducible(_Frozen):
 
 @cache
 def _u_irreducibles_of_degree(pp: PrimePower, d: int):
-    """The degree-d U-irreducibles ordered by coeffs, and tilde on them as a
-    dict keyed by coeffs, both read off one scan of the root orbits."""
+    """The degree-d U-irreducibles and tilde on them, as dicts keyed by coeffs
+    (the first in coeffs order), both read off one scan of the root orbits."""
     q = pp.q
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
@@ -200,13 +200,8 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
         by_least[i] = UIrreducible(MonicPoly(ctx2, small), rep)
         partner[i] = min(-idx % order for idx in orbit)
     assert covered == order, "orbit scan must partition the subgroup"
-    tilde_of = {u.poly.coeffs: by_least[partner[i]] for i, u in by_least.items()}
-    return tuple(sorted(by_least.values(), key=lambda u: u.sort_key())), tilde_of
-
-
-@cache
-def _by_coeffs(pp: PrimePower, d: int) -> dict:
-    return {u.poly.coeffs: u for u in _u_irreducibles_of_degree(pp, d)[0]}
+    table = {u.poly.coeffs: u for u in sorted(by_least.values(), key=UIrreducible.sort_key)}
+    return table, {u.poly.coeffs: by_least[partner[i]] for i, u in by_least.items()}
 
 
 def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
@@ -215,7 +210,7 @@ def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
         raise ValueError("degree bound must be at least 1")
     out = []
     for d in range(1, max_total_degree + 1):
-        out.extend(_u_irreducibles_of_degree(q, d)[0])
+        out.extend(_u_irreducibles_of_degree(q, d)[0].values())
     return tuple(out)
 
 
@@ -223,7 +218,7 @@ def u_irreducible_lookup(q: PrimePower, poly: MonicPoly) -> UIrreducible | None:
     """The UIrreducible with these coefficients, or None."""
     if poly.degree < 1:
         return None
-    return _by_coeffs(q, poly.degree).get(poly.coeffs)
+    return _u_irreducibles_of_degree(q, poly.degree)[0].get(poly.coeffs)
 
 
 def tilde(f):
@@ -265,12 +260,9 @@ def factor_into_u_irreducibles(u: MonicPoly):
     for d in range(1, u.degree + 1):
         if rest.degree == 0 or d > rest.degree:
             break
-        for cand in _u_irreducibles_of_degree(pp, d)[0]:
+        for cand in _u_irreducibles_of_degree(pp, d)[0].values():
             mult = 0
-            while True:
-                nxt = poly_exact_div(rest, cand.poly)
-                if nxt is None:
-                    break
+            while (nxt := poly_exact_div(rest, cand.poly)) is not None:
                 rest = nxt
                 mult += 1
             if mult:

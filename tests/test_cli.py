@@ -78,6 +78,31 @@ def test_classify_sp(capsys):
     assert json.loads(out)["status"] == "Unknown"
 
 
+@pytest.mark.parametrize("sp", [False, True], ids=["unitary", "sp"])
+def test_classify_empty_unipotent_type(tmp_path, capsys, sp):
+    # "" names the empty type (n = 0) as " " and "," do, not a missing flag
+    flags = ["--sp"] if sp else []
+    if sp:
+        expected = '{"rule": null, "status": "Unknown", "witness": null}\n'
+    else:
+        # what --datum prints for the n = 0 datum that list prints
+        _, listed, _ = run(capsys, "list", "--q", "3", "--n", "0")
+        path = tmp_path / "empty.json"
+        path.write_text(listed)
+        _, expected, _ = run(capsys, "classify", "--q", "3", "--datum", str(path))
+        assert expected == '{"rule": "MainThm", "status": "StronglyReal", "witness": null}\n'
+    for text in ("", " ", ","):
+        argv = ["classify", "--q", "3", *flags, "--unipotent", text]
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_classify_empty_datum_path_is_read_as_a_path(capsys):
+    # as realize --datum "" does: the flag was given, so the file is missing
+    code, out, err = run(capsys, "classify", "--q", "3", "--datum", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: [Errno 2] No such file or directory")
+
+
 SP_DATUM = {"q": {"p": 3, "e": 1}, "t_minus_1": {"partition": [2], "signs": {"2": "+"}}}
 
 

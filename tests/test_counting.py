@@ -214,6 +214,24 @@ def test_datum_count_equals_series_coefficient():
         assert len(enumerate_class_data(n, PP3)) == series_K(PP3, n).coefficient(n)
 
 
+@pytest.mark.parametrize("q, n_max", [(4, 5), (8, 3), (7, 3), (9, 3)])
+def test_enumeration_matches_the_series_at_q_with_subfield_coefficients(q, n_max):
+    # q = 4, 8 and 9 are the q = p^e with e > 1, where the scan maps every
+    # coefficient down through subfield_map; q = 7 and 9 lie past the
+    # default bound q <= 5; odd q also checks the real and strongly real counts
+    pp = prime_power(q)
+    series = [series_K(pp, n_max)]
+    if q % 2:
+        series += [series_R(pp, n_max), series_T(pp, n_max)]
+    for n in range(n_max + 1):
+        data = enumerate_class_data(n, pp, max_q=q)
+        verdicts = [strongly_real(d) for d in data]
+        real = sum(v.real for v in verdicts)
+        strong = sum(v.status == STRONGLY_REAL for v in verdicts)
+        counts = [len(data), real, strong]
+        assert counts[: len(series)] == [s.coefficient(n) for s in series], (q, n)
+
+
 def test_cross_check_small():
     table = cross_check_counts(3, PP3)
     assert [r.direct_all for r in table.rows] == [1, 4, 16, 56]

@@ -287,6 +287,45 @@ def test_subfield_map_is_field_embedding():
             assert up[small.mul(a, b)] == big.mul(up[a], up[b])
 
 
+def reference_subfield_map(host, sub):
+    """The per-coordinate loop subfield_map replaced: sum c_i root^i over the
+    coordinates of each element of sub."""
+    if sub.deg == host.deg:
+        return {a: a for a in range(host.size)}
+    root = host._subfield_root(sub)
+    mapping = {}
+    for y in range(sub.size):
+        acc = 0
+        rp = 1
+        for c in sub.to_coords(y):
+            if c:
+                acc = host.add(acc, host.mul(c % host.p, rp))
+            rp = host.mul(rp, root)
+        mapping[acc] = y
+    return mapping
+
+
+# every host field GF(q^(2d)) the U-irreducible scan builds; at d = 1 the
+# host is GF(q^2) itself and the map is the identity
+SCAN_HOSTS = [(q, d) for q in (2, 3, 4, 5) for d in range(1, 6)] + [
+    (q, d) for q in (7, 8, 9) for d in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("q, d", SCAN_HOSTS)
+def test_subfield_map_matches_the_coordinate_loop(q, d):
+    pp = prime_power(q)
+    host, sub = make_context(pp, 2 * d), make_context(pp, 2)
+    down = host.subfield_map(sub)
+    assert down == reference_subfield_map(host, sub)
+    up = {y: x for x, y in down.items()}
+    assert sorted(up) == list(range(sub.size))
+    for a in range(sub.size):
+        for b in range(sub.size):
+            assert up[sub.add(a, b)] == host.add(up[a], up[b])
+            assert up[sub.mul(a, b)] == host.mul(up[a], up[b])
+
+
 def test_table_structure():
     for pp in (PP2, PP3, PP5):
         F = table_for(pp)

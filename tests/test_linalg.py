@@ -166,12 +166,39 @@ def test_charpoly_against_pointwise_determinants():
                 assert val == mat_det(F, shifted)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_charpoly_matches_laplace_reference(q):
-    """Dense, sparse and singular matrices, and ones whose Hessenberg
-    reduction meets a zero pivot with a nonzero entry below it (row and
-    column swap) or with none (the column is skipped)."""
-    F = table_for(prime_power(q))
+def reference_mat_det(F, A):
+    """The forward elimination mat_det replaced: the product of the pivots,
+    negated at each row swap."""
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    rows = [list(r) for r in A]
+    n = len(rows)
+    det = 1
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = neg[det]
+        det = mul[det][rows[r][c]]
+        pv = inv[rows[r][c]]
+        prow = mul[pv]
+        rows[r] = [prow[x] for x in rows[r]]
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                factor = neg[rows[i][c]]
+                frow = mul[factor]
+                src = rows[r]
+                rows[i] = [add[rows[i][j]][frow[src[j]]] for j in range(n)]
+        r += 1
+    return det
+
+
+def charpoly_cases(F, q):
+    """Dense, sparse and singular matrices of size 0 .. 7, and ones whose
+    Hessenberg reduction meets a zero pivot with a nonzero entry below it
+    (row and column swap) or with none (the column is skipped)."""
     rng = random.Random(q)
     for n in range(8):
         cases = [random_matrix(rng, F, n) for _ in range(12)]
@@ -190,9 +217,23 @@ def test_charpoly_matches_laplace_reference(q):
                 a[col + 1][col] = 0
                 a[col + 2][col] = below
                 cases.append(a)
-        for a in cases:
-            a = tuple(map(tuple, a))
-            assert charpoly(F, a) == reference_charpoly(F, a), (q, a)
+        yield from (tuple(map(tuple, a)) for a in cases)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_charpoly_matches_laplace_reference(q):
+    F = table_for(prime_power(q))
+    for a in charpoly_cases(F, q):
+        assert charpoly(F, a) == reference_charpoly(F, a), (q, a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_mat_det_matches_elimination_reference(q):
+    # det A = (-1)^n charpoly(A)(0), against the elimination it replaced
+    F = table_for(prime_power(q))
+    assert mat_det(F, ()) == reference_mat_det(F, ()) == 1
+    for a in charpoly_cases(F, q):
+        assert mat_det(F, a) == reference_mat_det(F, a), (q, a)
 
 
 def test_charpoly_of_companion():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -268,6 +269,39 @@ def test_realize_on_standard_forms():
         g = realize_class(d, form)
         assert is_unitary(table_for(PP3), g, form.gram)
         assert extract_class_datum(g, PP3) == d
+
+
+def gf25_diag_2_1():
+    """diag(2, 1) over GF(25); its packed entries also spell a gram over GF(9)."""
+    return oracle.HermitianForm(PP5, ((2, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "datum, form, sides",
+    [
+        (lambda: unipotent_datum(PP3, [2]), gf25_diag_2_1, "U(2, F_5), not U(2, F_3)"),
+        (lambda: unipotent_datum(PP3, []), lambda: identity_form(2, PP3),
+         "U(2, F_3), not U(0, F_3)"),
+    ],
+    ids=["other_q", "empty_datum"],
+)
+def test_realize_refuses_a_form_over_another_field_or_size(datum, form, sides):
+    with pytest.raises(RealizationError, match=re.escape(sides)):
+        realize_class(datum(), form())
+
+
+@pytest.mark.parametrize(
+    "n, form, sides",
+    [
+        (2, gf25_diag_2_1, "U(2, F_5), not U(2, F_3)"),
+        (2, lambda: identity_form(3, PP3), "U(3, F_3), not U(2, F_3)"),
+        (3, lambda: identity_form(2, PP3), "U(2, F_3), not U(3, F_3)"),
+    ],
+    ids=["other_q", "larger_form", "smaller_form"],
+)
+def test_enumerate_group_refuses_a_form_over_another_field_or_size(n, form, sides):
+    with pytest.raises(ValueError, match=re.escape(sides)):
+        enumerate_group(n, 3, form())
 
 
 def test_realize_empty_datum():

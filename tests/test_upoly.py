@@ -11,6 +11,7 @@ from strongreal.errors import (
 )
 from strongreal.fields import FieldCtx, PrimePower, make_context, prime_power, table_for
 from strongreal.upoly import (
+    _u_irreducibles_of_degree,
     count_self_conjugate,
     enumerate_self_conjugate,
     enumerate_u_irreducibles,
@@ -254,6 +255,16 @@ def test_tilde_table_matches_the_per_call_tilde_and_is_an_involution():
         seen += 1
         self_paired += tu is u
     assert (seen, self_paired) == (964, 34)
+
+
+def test_lookup_reads_the_table_the_enumeration_lists():
+    for q, d in TILDE_TABLE_CASES:
+        pp = prime_power(q)
+        for u in enumerate_u_irreducibles(pp, d):
+            assert u_irreducible_lookup(pp, u.poly) is u
+        for k in range(1, d + 1):
+            keys = [u.sort_key() for u in _u_irreducibles_of_degree(pp, k)[0].values()]
+            assert keys == sorted(keys)
 
 
 def test_tilde_on_u_irreducibles_does_no_field_arithmetic(monkeypatch):
