@@ -17,7 +17,7 @@ from .fields import PrimePower, _Frozen, make_context
 from .upoly import (
     MonicPoly,
     UIrreducible,
-    monic_poly,
+    negate_uirr,
     poly_from_json,
     poly_mul,
     poly_one,
@@ -196,15 +196,13 @@ def make_class_datum(q: PrimePower, elementary_divisors, expected_n=None) -> Cla
 
 
 def t_minus_one(q: PrimePower) -> UIrreducible:
-    ctx = make_context(q, 2)
-    out = u_irreducible_lookup(q, monic_poly(ctx, (ctx.neg(1),)))
+    out = u_irreducible_lookup(q, MonicPoly(make_context(q, 2), (q.p - 1,)))  # -1 packs to p - 1
     assert out is not None
     return out
 
 
 def t_plus_one(q: PrimePower) -> UIrreducible:
-    ctx = make_context(q, 2)
-    out = u_irreducible_lookup(q, monic_poly(ctx, (1,)))
+    out = u_irreducible_lookup(q, MonicPoly(make_context(q, 2), (1,)))
     assert out is not None
     return out
 
@@ -245,39 +243,15 @@ def centralizer_order(d: ClassDatum) -> int:
 
 
 def star_decompose(d: ClassDatum) -> list[ClassDatum]:
-    """Split a real datum into its t-1 part, t+1 part, and tilde pairs."""
+    """Split a real datum into one piece per tilde pair, at its first block; a
+    self-conjugate f, t-1 and t+1 among them, is a pair of one."""
     if not is_real(d):
         raise DatumError("star decomposition requires a real datum")
-    one_blocks = {t_minus_one(d.q), t_plus_one(d.q)}
-    pieces = []
-    done = set()
-    for f, mu in d.blocks:
-        if f in one_blocks:
-            pieces.append(class_datum(d.q, {f: mu}))
-            continue
-        if f.poly.coeffs in done:
-            continue
-        ft = tilde(f)
-        done.add(f.poly.coeffs)
-        done.add(ft.poly.coeffs)
-        if ft == f:
-            pieces.append(class_datum(d.q, {f: mu}))
-        else:
-            pieces.append(class_datum(d.q, {f: mu, ft: mu}))
-    return pieces
-
-
-def negate_uirr(f: UIrreducible) -> UIrreducible:
-    """The U-irreducible whose roots are the negated roots of f (q odd)."""
-    ctx = f.ctx
-    # (-1)^d f(-t): coefficient of t^i picks up (-1)^(d-i)
-    d = f.degree
-    coeffs = tuple(
-        c if (d - i) % 2 == 0 else ctx.neg(c) for i, c in enumerate(f.poly.coeffs)
-    )
-    out = u_irreducible_lookup(ctx.pp, MonicPoly(ctx, coeffs))
-    assert out is not None, "negation permutes U-irreducibles for odd q"
-    return out
+    return [
+        class_datum(d.q, {f: mu, tilde(f): mu})
+        for f, mu in d.blocks
+        if f.sort_key() <= tilde(f).sort_key()
+    ]
 
 
 def negate(d: ClassDatum) -> ClassDatum:
@@ -317,6 +291,13 @@ def _parts_from_json(parts) -> list[int]:
     return parts
 
 
+def _int_from_json(obj, key):
+    """obj[key] or None if absent; like a part it must be an int, not "1", true or 1.0."""
+    if (value := obj.get(key)) is not None and type(value) is not int:
+        raise TypeError(f"{key} must be an int, got {value!r}")
+    return value
+
+
 def datum_from_json(obj) -> ClassDatum:
     q = PrimePower(obj["q"]["p"], obj["q"].get("e", 1))
     ctx = make_context(q, 2)
@@ -324,8 +305,7 @@ def datum_from_json(obj) -> ClassDatum:
     for block in obj["blocks"]:
         base = poly_from_json(ctx, block["poly"])
         divisors += [(base, part) for part in _parts_from_json(block["partition"])]
-    datum = make_class_datum(q, divisors, expected_n=obj.get("n"))
-    return datum
+    return make_class_datum(q, divisors, expected_n=_int_from_json(obj, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +450,14 @@ def sp_datum_from_json(obj) -> SymplecticClassDatum:
         if not sub:
             return EMPTY_SIGNED
         raw = sub.get("signs", {})
-        if not all(s in ("+", "-") for s in raw.values()):
-            raise TypeError(f'signs must be "+" or "-", got {raw}')
+        # keys as to_json writes them, str(part): int() would read "02" and " 2" as 2
+        if not all(p.isdecimal() and p == str(int(p)) and s in ("+", "-") for p, s in raw.items()):
+            raise TypeError(f'signs must map str(part) to "+" or "-", got {raw}')
         signs = {int(p): (1 if s == "+" else -1) for p, s in raw.items()}
         return signed_partition(_parts_from_json(sub["partition"]), signs)
 
+    expected = _int_from_json(obj, "n2")
     datum = SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))
-    expected = obj.get("n2")
     if expected is not None and datum.n2 != expected:
         raise DatumError(f"degree mismatch: datum has n2={datum.n2}, expected {expected}")
     return datum

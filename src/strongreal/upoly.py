@@ -10,7 +10,8 @@ The tilde involution sends a polynomial with nonzero constant to the monic
 polynomial whose roots are the inverses of its roots; a polynomial over GF(q)
 fixed by tilde is called self-conjugate.  On U-irreducibles tilde is a
 permutation read off the orbit scan that finds them: the inverse roots of the
-exponent orbit of i are the orbit of -i.
+exponent orbit of i are the orbit of -i.  For odd q the scan records negation
+beside it: the negated roots are the orbit of i + order/2.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class UIrreducible(_Frozen):
 
 @cache
 def _u_irreducibles_of_degree(pp: PrimePower, d: int):
-    """The degree-d U-irreducibles and tilde on them, as dicts keyed by coeffs
-    (the first in coeffs order), both read off one scan of the root orbits."""
+    """The degree-d U-irreducibles, tilde and (odd q only) negation on them, as
+    dicts keyed by coeffs (the first in coeffs order), read off one orbit scan."""
     q = pp.q
     ctx2 = make_context(pp, 2)
     host = make_context(pp, 2 * d)
@@ -164,20 +165,19 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
     step = (-q) % order
     # at d = 1 the host is GF(q^2) itself; skip its q^2-entry identity map
     down = host.subfield_map(ctx2) if d > 1 else None
-    visited = bytearray(order)
     # orbits are keyed by their smallest exponent, which the scan meets first;
-    # the inverse roots of the orbit of i are the orbit of -i
+    # least[j] is the key of the orbit of j (-1 before the scan reaches it)
+    least = [-1] * order
     by_least = {}
-    partner = {}
     covered = 0
     for i in range(order):
-        if visited[i]:
+        if least[i] >= 0:
             continue
         orbit = [i]
-        visited[i] = 1
+        least[i] = i
         j = (i * step) % order
         while j != i:
-            visited[j] = 1
+            least[j] = i
             orbit.append(j)
             j = (j * step) % order
         covered += len(orbit)
@@ -198,10 +198,14 @@ def _u_irreducibles_of_degree(pp: PrimePower, d: int):
         small = tuple(coeffs[:-1] if down is None else (down[c] for c in coeffs[:-1]))
         rep = min(exp[idx] for idx in orbit)
         by_least[i] = UIrreducible(MonicPoly(ctx2, small), rep)
-        partner[i] = min(-idx % order for idx in orbit)
     assert covered == order, "orbit scan must partition the subgroup"
     table = {u.poly.coeffs: u for u in sorted(by_least.values(), key=UIrreducible.sort_key)}
-    return table, {u.poly.coeffs: by_least[partner[i]] for i, u in by_least.items()}
+    # the inverse roots of the orbit of i are the orbit of -i and, for odd q,
+    # the negated roots the orbit of i + order/2 (-1 has that exponent)
+    def image(s, t):  # f -> the U-irreducible of the orbit of s*i + t
+        return {u.poly.coeffs: by_least[least[(s * i + t) % order]] for i, u in by_least.items()}
+
+    return table, image(-1, 0), (image(1, order // 2) if q % 2 else {})
 
 
 def enumerate_u_irreducibles(q: PrimePower, max_total_degree: int):
@@ -240,6 +244,11 @@ def tilde(f):
     d = f.degree
     new = tuple(ctx.mul(full[d - i], inv0) for i in range(d))
     return MonicPoly(ctx, new)
+
+
+def negate_uirr(f: UIrreducible) -> UIrreducible:
+    """The U-irreducible of the negated roots of f (q odd), read off the orbit scan."""
+    return _u_irreducibles_of_degree(f.ctx.pp, f.degree)[2][f.poly.coeffs]
 
 
 def factor_into_u_irreducibles(u: MonicPoly):

@@ -10,6 +10,7 @@ from strongreal.classdata import (
     commutant_dim,
     datum_from_json,
     enumerate_signed_partitions,
+    invert,
     is_real,
     make_class_datum,
     negate,
@@ -27,7 +28,7 @@ from strongreal.classdata import (
 )
 from strongreal.counting import enumerate_class_data
 from strongreal.errors import DatumError, NegationUndefinedError
-from strongreal.fields import PrimePower, prime_power
+from strongreal.fields import FieldCtx, PrimePower, prime_power
 from strongreal.oracle import unitary_order
 from strongreal.upoly import enumerate_u_irreducibles, factor_into_u_irreducibles, tilde
 
@@ -144,6 +145,60 @@ def test_star_decompose():
     assert all(is_real(p) for p in pieces)
     with pytest.raises(DatumError):
         star_decompose(class_datum(PP3, {f: partition([1])}))
+
+
+def reference_star_decompose(d):
+    """The t-1 piece, the t+1 piece and each tilde pair, paired by hand."""
+    one_blocks = {t_minus_one(d.q), t_plus_one(d.q)}
+    pieces = []
+    done = set()
+    for f, mu in d.blocks:
+        if f in one_blocks:
+            pieces.append(class_datum(d.q, {f: mu}))
+            continue
+        if f.poly.coeffs in done:
+            continue
+        ft = tilde(f)
+        done.add(f.poly.coeffs)
+        done.add(ft.poly.coeffs)
+        if ft == f:
+            pieces.append(class_datum(d.q, {f: mu}))
+        else:
+            pieces.append(class_datum(d.q, {f: mu, ft: mu}))
+    return pieces
+
+
+# U(n <= 6, F_2), U(n <= 5, F_3), U(n <= 4, F_4 and F_5), U(n <= 3, F_7, F_8 and F_9)
+STAR_CASES = [(2, 6), (3, 5), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)]
+
+
+def test_star_decompose_matches_the_hand_pairing():
+    seen = 0
+    for q, n_max in STAR_CASES:
+        pp = prime_power(q)
+        for n in range(n_max + 1):
+            for d in enumerate_class_data(n, pp, max_n=n_max, max_q=q):
+                if is_real(d):
+                    assert star_decompose(d) == reference_star_decompose(d)
+                    seen += 1
+    assert seen == 380
+
+
+def test_datum_maps_do_no_field_arithmetic(monkeypatch):
+    # t - 1, t + 1, tilde and negation are read off the U-irreducible tables
+    pp = prime_power(9)
+    data = [d for n in range(4) for d in enumerate_class_data(n, pp, max_n=3, max_q=9)]
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic in classdata")
+
+    for name in ("add", "neg", "mul", "inv", "pow"):
+        monkeypatch.setattr(FieldCtx, name, refuse)
+    assert t_minus_one(pp) != t_plus_one(pp)
+    for d in data:
+        assert negate(negate(d)) == d and invert(invert(d)) == d
+        if is_real(d):
+            assert sum(p.n for p in star_decompose(d)) == d.n
 
 
 def test_negate():

@@ -203,6 +203,44 @@ def test_sp_datum_sign_other_than_plus_or_minus_is_a_usage_error(tmp_path, capsy
     assert err.startswith("usage error: malformed datum file")
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [{"x": "+"}, {"02": "+"}, {" 2": "+"}, {"2": "+", "02": "-"}],
+    ids=["letter", "leading-zero", "leading-space", "two-keys-one-part"],
+)
+def test_sp_datum_sign_key_other_than_str_of_part_is_a_usage_error(tmp_path, capsys, keys):
+    # a sign key is written as to_json writes it, str(part); int() would read
+    # "02" and " 2" as 2, and two keys for one part would drop a sign
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(dict(SP_DATUM, t_minus_1={"partition": [2], "signs": keys})))
+    code, out, err = run(capsys, "classify", "--q", "3", "--sp", "--datum", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: malformed datum file")
+
+
+@pytest.mark.parametrize(
+    "key,good,bad",
+    [("n", 1, "1"), ("n", 1, True), ("n", 1, 1.0), ("n2", 2, "2"), ("n2", 2, True)],
+    ids=["n-string", "n-bool", "n-float", "n2-string", "n2-bool"],
+)
+def test_non_int_degree_in_a_datum_file_is_a_usage_error(tmp_path, capsys, key, good, bad):
+    # n and n2 are ints as parts are: "1", true and 1.0 are not read as 1
+    if key == "n":
+        content, verb = unitary_datum_with_poly([[2, 0]]), ("classify",)
+    else:
+        content, verb = SP_DATUM, ("classify", "--sp")
+    path = tmp_path / "datum.json"
+    argv = (*verb, "--q", "3", "--datum", str(path))
+    path.write_text(json.dumps(dict(content, **{key: good})))
+    assert run(capsys, *argv)[0] == 0
+    path.write_text(json.dumps(dict(content, **{key: bad})))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: malformed datum file")
+
+
 def test_unreadable_datum_path_is_a_usage_error(tmp_path, capsys):
     # a directory opens with IsADirectoryError, an OSError like a missing file
     for verb in ("classify", "realize"):

@@ -703,7 +703,7 @@ def test_images_have_the_same_reversing_space(q, n):
             assert reversing_space(F, h) == space
 
 
-@pytest.mark.parametrize("q,n", SHARING_CASES + [(7, 3)])
+@pytest.mark.parametrize("q,n", SHARING_CASES + [(7, 3), (9, 2)])
 def test_datum_maps_match_matrix_images(q, n):
     # the representatives path shares verdicts with invert(d), negate(d) and
     # negate(invert(d)) without building a matrix: they must be the data of

@@ -11,6 +11,7 @@ from strongreal.errors import (
 )
 from strongreal.fields import FieldCtx, PrimePower, make_context, prime_power, table_for
 from strongreal.upoly import (
+    MonicPoly,
     _u_irreducibles_of_degree,
     count_self_conjugate,
     enumerate_self_conjugate,
@@ -18,6 +19,7 @@ from strongreal.upoly import (
     factor_into_u_irreducibles,
     is_self_conjugate,
     monic_poly,
+    negate_uirr,
     poly_divmod,
     poly_exact_div,
     poly_mul,
@@ -275,11 +277,51 @@ def test_tilde_on_u_irreducibles_does_no_field_arithmetic(monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "inv", refuse)
     monkeypatch.setattr(FieldCtx, "mul", refuse)
+    monkeypatch.setattr(FieldCtx, "neg", refuse)
     # the polynomial tilde still reaches the patched methods
     with pytest.raises(AssertionError, match="field arithmetic"):
         tilde(us[0].poly)
     for u in us:
         assert tilde(tilde(u)) is u
+        if u.ctx.p != 2:
+            assert negate_uirr(negate_uirr(u)) is u
+
+
+# every U-irreducible of degree <= 5, 4, 3, 3, 2, 2, 2 at q = 3, 5, 7, 9, 11, 25, 27
+NEGATION_CASES = [(3, 5), (5, 4), (7, 3), (9, 3), (11, 2), (25, 2), (27, 2)]
+
+
+def reference_negate_uirr(f):
+    """Negation through the polynomial: (-1)^d f(-t) coefficient by coefficient."""
+    ctx = f.ctx
+    # coefficient of t^i picks up (-1)^(d-i)
+    d = f.degree
+    coeffs = tuple(c if (d - i) % 2 == 0 else ctx.neg(c) for i, c in enumerate(f.poly.coeffs))
+    out = u_irreducible_lookup(ctx.pp, MonicPoly(ctx, coeffs))
+    assert out is not None, "negation permutes U-irreducibles for odd q"
+    return out
+
+
+def test_negation_table_matches_the_coefficient_loop():
+    seen = 0
+    for q, d in NEGATION_CASES:
+        pp = prime_power(q)
+        ctx = make_context(pp, 2)
+        t_minus, t_plus = (u_irreducible_lookup(pp, monic_poly(ctx, (c,))) for c in (ctx.neg(1), 1))
+        assert (negate_uirr(t_minus), negate_uirr(t_plus)) == (t_plus, t_minus)
+        for f in enumerate_u_irreducibles(pp, d):
+            nf = negate_uirr(f)
+            assert nf is reference_negate_uirr(f)
+            assert negate_uirr(nf) is f
+            assert negate_uirr(tilde(f)) is tilde(nf)
+            seen += 1
+    assert seen == 1479
+
+
+def test_negation_table_is_empty_in_characteristic_two():
+    for q in (2, 4, 8):
+        for d in (1, 2, 3):
+            assert _u_irreducibles_of_degree(prime_power(q), d)[2] == {}
 
 
 def test_tilde_inverts_roots():
