@@ -282,30 +282,25 @@ def u_sequence(d: ClassDatum) -> list[MonicPoly]:
     return out
 
 
-def _parts_from_json(parts) -> list[int]:
-    """Partition parts as JSON gives them; each must be an int, since int()
-    would read 1.9 and true as 1 and "2" as 2."""
-    parts = list(parts)
-    if not all(type(p) is int for p in parts):
-        raise TypeError(f"partition parts must be ints, got {parts}")
-    return parts
-
-
-def _int_from_json(obj, key):
-    """obj[key] or None if absent; like a part it must be an int, not "1", true or 1.0."""
-    if (value := obj.get(key)) is not None and type(value) is not int:
-        raise TypeError(f"{key} must be an int, got {value!r}")
+def _int(value, field: str) -> int:
+    """value, which must be an int: int() would read 1.9 and true as 1 and "2"
+    as 2, and a field that is present is never read as absent (null)."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an int, got {value!r}")
     return value
 
 
 def datum_from_json(obj) -> ClassDatum:
-    q = PrimePower(obj["q"]["p"], obj["q"].get("e", 1))
+    """The datum to_json writes; an absent key takes its default, a present one must be typed."""
+    pq = obj["q"]
+    q = PrimePower(_int(pq["p"], "q.p"), _int(pq["e"], "q.e") if "e" in pq else 1)
     ctx = make_context(q, 2)
     divisors = []
     for block in obj["blocks"]:
         base = poly_from_json(ctx, block["poly"])
-        divisors += [(base, part) for part in _parts_from_json(block["partition"])]
-    return make_class_datum(q, divisors, expected_n=_int_from_json(obj, "n"))
+        divisors += [(base, _int(part, "a partition part")) for part in block["partition"]]
+    n = _int(obj["n"], "n") if "n" in obj else None
+    return make_class_datum(q, divisors, expected_n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +438,20 @@ def sp_splitting_count(d: SymplecticClassDatum) -> int:
 
 
 def sp_datum_from_json(obj) -> SymplecticClassDatum:
-    pairs = datum_from_json({"q": obj["q"], "blocks": obj.get("blocks", [])})
+    """The datum to_json writes, read under datum_from_json's rule."""
+    pairs = datum_from_json({"q": obj["q"], "blocks": obj["blocks"] if "blocks" in obj else []})
 
-    def read_signed(key):
-        sub = obj.get(key)
-        if not sub:
-            return EMPTY_SIGNED
-        raw = sub.get("signs", {})
+    def read_signed(sub):
+        parts = [_int(part, "a signed partition part") for part in sub["partition"]]
+        raw = sub["signs"] if "signs" in sub else {}
         # keys as to_json writes them, str(part): int() would read "02" and " 2" as 2
         if not all(p.isdecimal() and p == str(int(p)) and s in ("+", "-") for p, s in raw.items()):
             raise TypeError(f'signs must map str(part) to "+" or "-", got {raw}')
-        signs = {int(p): (1 if s == "+" else -1) for p, s in raw.items()}
-        return signed_partition(_parts_from_json(sub["partition"]), signs)
+        return signed_partition(parts, {int(p): (1 if s == "+" else -1) for p, s in raw.items()})
 
-    expected = _int_from_json(obj, "n2")
-    datum = SymplecticClassDatum(pairs, read_signed("t_minus_1"), read_signed("t_plus_1"))
+    expected = _int(obj["n2"], "n2") if "n2" in obj else None
+    signed = [read_signed(obj[k]) if k in obj else EMPTY_SIGNED for k in ("t_minus_1", "t_plus_1")]
+    datum = SymplecticClassDatum(pairs, *signed)
     if expected is not None and datum.n2 != expected:
         raise DatumError(f"degree mismatch: datum has n2={datum.n2}, expected {expected}")
     return datum

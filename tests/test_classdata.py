@@ -249,9 +249,11 @@ def test_u_sequence_degree_identity():
 
 
 def test_datum_json_roundtrip():
-    for n in range(1, 4):
-        for d in enumerate_class_data(n, PP3):
-            assert datum_from_json(d.to_json()) == d
+    # every datum of U(n <= 4, F_3) and U(n <= 3, F_4), the empty one included
+    for q, n_max in ((3, 4), (4, 3)):
+        for n in range(n_max + 1):
+            for d in enumerate_class_data(n, prime_power(q)):
+                assert datum_from_json(d.to_json()) == d
 
 
 def test_signed_partition_validation():
@@ -334,3 +336,11 @@ def test_sp_datum_json_roundtrip():
         signed_minus=signed_partition([1, 1]),
     )
     assert sp_datum_from_json(d.to_json()) == d
+    # every pair of signed partitions of weight <= 6 at t - 1 and t + 1, with
+    # and without the blocks f, tilde(f)
+    signed = [g for w in range(7) for g in enumerate_signed_partitions(w)]
+    for plus in signed:
+        for minus in signed:
+            for blocks in ({}, {f: [1], tilde(f): [1]}):
+                d = symplectic_datum(PP3, blocks, signed_plus=plus, signed_minus=minus)
+                assert sp_datum_from_json(d.to_json()) == d

@@ -219,14 +219,35 @@ def test_sp_datum_sign_key_other_than_str_of_part_is_a_usage_error(tmp_path, cap
     assert err.startswith("usage error: malformed datum file")
 
 
+Q3 = {"p": 3, "e": 1}
+
+
 @pytest.mark.parametrize(
-    "key,good,bad",
-    [("n", 1, "1"), ("n", 1, True), ("n", 1, 1.0), ("n2", 2, "2"), ("n2", 2, True)],
-    ids=["n-string", "n-bool", "n-float", "n2-string", "n2-bool"],
+    "key,good,bad,field",
+    [
+        ("n", 1, "1", "n"),
+        ("n", 1, True, "n"),
+        ("n", 1, 1.0, "n"),
+        ("n2", 2, "2", "n2"),
+        ("n2", 2, True, "n2"),
+        ("n", 1, None, "n"),
+        ("n2", 2, None, "n2"),
+        ("t_plus_1", {"partition": [1, 1]}, None, None),
+        ("q", Q3, {"p": 3, "e": True}, "q.e"),
+        ("q", Q3, {"p": 3.0}, "q.p"),
+        ("q", Q3, {"p": 3, "e": 1.0}, "q.e"),
+        ("q", Q3, {"p": "3"}, "q.p"),
+        ("q", Q3, {"p": 3, "e": None}, "q.e"),
+    ],
+    ids=[
+        "n-string", "n-bool", "n-float", "n2-string", "n2-bool", "n-null", "n2-null",
+        "t_plus_1-null", "e-bool", "p-float", "e-float", "p-string", "e-null",
+    ],
 )
-def test_non_int_degree_in_a_datum_file_is_a_usage_error(tmp_path, capsys, key, good, bad):
-    # n and n2 are ints as parts are: "1", true and 1.0 are not read as 1
-    if key == "n":
+def test_non_int_degree_in_a_datum_file_is_a_usage_error(tmp_path, capsys, key, good, bad, field):
+    # n, n2 and q's p and e are ints as parts are: "1", true and 1.0 are not
+    # read as 1, and a present null is malformed, never read as absent
+    if key in ("n", "q"):
         content, verb = unitary_datum_with_poly([[2, 0]]), ("classify",)
     else:
         content, verb = SP_DATUM, ("classify", "--sp")
@@ -239,6 +260,8 @@ def test_non_int_degree_in_a_datum_file_is_a_usage_error(tmp_path, capsys, key, 
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: malformed datum file")
+    if field:
+        assert f"{field} must be an int" in err
 
 
 def test_unreadable_datum_path_is_a_usage_error(tmp_path, capsys):
