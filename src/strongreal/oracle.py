@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
 from . import classify
@@ -160,52 +161,87 @@ def standard_forms(n: int, q: PrimePower) -> list[HermitianForm]:
 # ---------------------------------------------------------------------------
 # group enumeration
 #
-# The group path runs on row codes.  A row (r_0, ..., r_{n-1}) over GF(q^2)
-# is coded as the big-endian base-q^2 int sum r_j q^(2(n-1-j)), and a matrix
-# as the tuple of its row codes.  Right multiplication by a fixed g is one
-# table from row code to row code, so x * g costs n lookups.  Closure
-# records, for each generator, its right-multiplication permutation of
-# element indices; with the inverse permutation these give conjugation and
-# involutions without a single matrix product per element.
-# The group keeps its elements as codes, in the order the closure reached
-# them, and decodes only the matrices it hands out.
+# The group path runs on one int per element: a row (r_0, ..., r_{n-1}) over
+# GF(q^2) is coded as the base-q^2 int sum r_j q^(2(n-1-j)), and a matrix as
+# its n row codes packed big-endian in fixed-width bit slots, so codes sort
+# like the matrices.  Right multiplication by a fixed g is one table from row
+# code to row code, so x * g costs n lookups.  Closure records, for each
+# generator, its right-multiplication permutation of element indices; with
+# the inverse permutation these give conjugation and involutions without a
+# single matrix product per element.
 
 
 class _RowCodes:
-    """Row-code tables for n x n matrices over GF(q^2)."""
+    """Packed codes for n x n matrices over GF(q^2)."""
 
     def __init__(self, F: GFTable, n: int):
-        self.F = F
-        self.rows = tuple(itertools.product(range(F.size), repeat=n))
-        self.code = {row: c for c, row in enumerate(self.rows)}
-        self.conj = [self.code[tuple(F.conj[a] for a in row)] for row in self.rows]
+        self.F, self.n, self.powers = F, n, [F.size ** (n - 1 - j) for j in range(n)]
+        self.width = (F.size**n - 1).bit_length()
+        self.shifts = [self.width * (n - 1 - i) for i in range(n)]
+        # transpose[r]: row r conjugated and stood up as a column, slot i
+        # holding conj(r_i); x* is sum_k transpose[r_k] q^(2(n-1-k))
+        self.transpose = [0]
+        for s in self.shifts:
+            self.transpose = [t + (c << s) for t in self.transpose for c in F.conj]
         self.identity = self.encode(identity(n))
 
-    def encode(self, m: Matrix) -> tuple:
-        return tuple([self.code[row] for row in m])
+    def encode(self, m: Matrix) -> int:
+        x = 0
+        for row in m:
+            x = x << self.width | sum(map(operator.mul, row, self.powers))
+        return x
 
-    def decode(self, x: tuple) -> Matrix:
-        return tuple([self.rows[c] for c in x])
+    def decode(self, x: int) -> Matrix:
+        rows = (x >> s & ((1 << self.width) - 1) for s in self.shifts)
+        return tuple(tuple(r // p % self.F.size for p in self.powers) for r in rows)
 
     def table(self, g: Matrix) -> list:
-        """Row code -> code of (row * g), over every row, from one matrix product."""
-        return [self.code[row] for row in mat_mul(self.F, self.rows, g)]
+        """Row code -> code of (row * g), over every row in code order: an
+        odometer keeps the sum of the leading digits' multiples of the rows
+        of g, and each last digit a adds a g[n-1] to it, one vector addition
+        per row, whose code Horner's rule reads off."""
+        if not g:
+            return [0]
+        add, mul, size = self.F.add, self.F.mul, self.F.size
+        multiples = [[[mul[a][b] for b in row] for a in range(size)] for row in g]
+        sums = [[0] * self.n]
+        for row in multiples[:-1]:
+            sums = [[add[s][t] for s, t in zip(u, m)] for u in sums for m in row]
+        head, *last = zip(*multiples[-1])
+        out: list = []
+        for u0, *u in sums:
+            ys = map(add[u0].__getitem__, head)
+            for uk, column in zip(u, last):
+                ys = map(operator.add, map(size.__mul__, ys), map(add[uk].__getitem__, column))
+            out.extend(ys)
+        return out
 
-    def adjoint(self, x: tuple) -> tuple:
-        """Code of the conjugate transpose."""
-        return tuple([self.conj[self.code[col]] for col in zip(*self.decode(x))])
+    def split(self, xs: list) -> list:
+        """The row codes of the codes xs, one list per slot, top first; for
+        n = 0 the codes themselves, all 0, which every table keeps."""
+        mask = (1 << self.width) - 1
+        return [[x >> s & mask for x in xs] for s in self.shifts] or [xs]
 
+    def times(self, rows: list, table: list, scale: int = 0) -> list:
+        """Codes of x * g from split(xs), for the table of g: Horner's rule
+        over the slots, scale 2^width, each row code looked up.  With the
+        transpose table and scale q^2 the same rule gives the codes of x*."""
+        scale = scale or 1 << self.width
+        ys = [table[r] for r in rows[0]]
+        for r in rows[1:]:
+            ys = [y * scale + table[x] for y, x in zip(ys, r)]
+        return ys
 
-def _times(x: tuple, table: list) -> tuple:
-    """Code of x * g, for the table of g."""
-    return tuple([table[r] for r in x])
+    def adjoint(self, rows: list) -> list:
+        """Codes of x* from split(xs)."""
+        return self.times(rows, self.transpose, self.F.size)
 
 
 class GroupEnumeration:
     """A fully materialized unitary group for a fixed form, kept as its
     closure found it.
 
-    codes[i] is the row code under codec of element i, in the order the
+    codes[i] is the packed code under codec of element i, in the order the
     closure reached the elements (the identity first); index maps a code
     back to i, right[k][i] is the index of element i * generators[k], and
     inverse[i] the index of element i^(-1).  elements decodes every code.
@@ -228,8 +264,11 @@ class GroupEnumeration:
         return len(self.codes)
 
     def __contains__(self, g) -> bool:
-        code = self.codec.code
-        return tuple([code.get(row) for row in g]) in self.index
+        """g given as rows of any sequence type; False for a wrong shape or an
+        entry outside 0 .. q^2 - 1, which could pack to a member's code."""
+        n, size = self.form.n, self.codec.F.size
+        ok = [len(r) == n and all(type(a) is int and 0 <= a < size for a in r) for r in g]
+        return len(ok) == n and all(ok) and self.codec.encode(g) in self.index
 
     @functools.cached_property
     def involution_indices(self) -> tuple:
@@ -271,12 +310,19 @@ def _entrywise_members(F: GFTable, n: int, J: Matrix):
     return _unitary_members(F, basis, J, math.inf, coeffs=[*range(1, F.size), 0])
 
 
+# codes per bulk step of the closure and the inverse, which bounds their
+# transient lists
+_CHUNK = 1024
+
+
 def _grow_closure(codec: _RowCodes, members, target: int):
     """Small deterministic generating set taken from members greedily, each
     member outside the closure so far becoming a generator, until the
     closure has target elements.  The closure grows in place: a new
     generator's permutation first runs over the elements found before it,
-    then every permutation runs over the elements found since.
+    then every permutation runs over the elements found since.  Each scan
+    takes _CHUNK codes at a time and numbers the new products in the order
+    of x, then generator.
 
     Returns (generators, codes in discovery order with the identity first,
     their index, and per generator the permutation i -> index of
@@ -288,15 +334,17 @@ def _grow_closure(codec: _RowCodes, members, target: int):
     pairs: list = []  # (table, permutation) per generator
     codes, index = [codec.identity], {codec.identity: 0}
 
-    def scan(xs, pairs):
-        for x in xs:  # codes grows while it is scanned
-            for table, perm in pairs:
-                y = tuple([table[r] for r in x])  # _times, inlined in the hottest loop
-                j = index.get(y)
-                if j is None:
-                    j = index[y] = len(codes)
-                    codes.append(y)
-                perm.append(j)
+    def scan(start, stop, pairs):
+        while start < min(stop, len(codes)):  # codes grows while it is scanned
+            rows = codec.split(codes[start : min(start + _CHUNK, stop)])
+            start += len(rows[0])
+            products = [codec.times(rows, table) for table, _ in pairs]
+            new = dict.fromkeys(itertools.chain.from_iterable(zip(*products)))
+            new = list(itertools.filterfalse(index.__contains__, new))
+            index.update(zip(new, itertools.count(len(codes))))
+            codes.extend(new)
+            for (_, perm), ys in zip(pairs, products):
+                perm.extend(map(index.__getitem__, ys))
 
     for g in members:
         if codec.encode(g) in index:
@@ -305,8 +353,8 @@ def _grow_closure(codec: _RowCodes, members, target: int):
         gens.append(g)
         right.append([])
         pairs.append((codec.table(g), right[-1]))
-        scan(itertools.islice(codes, found), pairs[-1:])
-        scan(itertools.islice(codes, found, None), pairs)
+        scan(0, found, pairs[-1:])
+        scan(found, math.inf, pairs)
         if len(codes) >= target:
             break
     if len(codes) < target:
@@ -369,12 +417,14 @@ def enumerate_group(
         raise GroupClosureError("a generator failed the unitarity check")
     # x^(-1) = J^(-1) x* J: x* for the identity form, else, since J and
     # J^(-1) are Hermitian, ((x* J)* J^(-1))*
-    adjoint = codec.adjoint
-    if form.gram == identity(n):
-        inverse = [index[adjoint(x)] for x in codes]
-    else:
-        t_j, t_jinv = codec.table(form.gram), codec.table(mat_inv(F, form.gram))
-        inverse = [index[adjoint(_times(adjoint(_times(adjoint(x), t_j)), t_jinv))] for x in codes]
+    tables = [] if form.gram == identity(n) else [form.gram, mat_inv(F, form.gram)]
+    tables = [codec.table(t) for t in tables]
+    inverse: list = []
+    for start in range(0, len(codes), _CHUNK):
+        xs = codes[start : start + _CHUNK]
+        for table in tables:
+            xs = codec.times(codec.split(codec.adjoint(codec.split(xs))), table)
+        inverse += [index[x] for x in codec.adjoint(codec.split(xs))]
     return GroupEnumeration(form, gens, strategy, codec, codes, index, right, inverse)
 
 
@@ -1070,10 +1120,11 @@ def _strongly_real_orbits(group: GroupEnumeration, orbit: list) -> set:
     times every t meets them all; t s = s (s t) s is in the orbit of s t."""
     codes, index, codec = group.codes, group.index, group.codec
     involutions = group.involution_indices
+    rows = codec.split([codes[t] for t in involutions])
     strong = set()
     for s in {orbit[i]: i for i in involutions}.values():
         table = codec.table(codec.decode(codes[s]))
-        strong.update(orbit[index[_times(codes[t], table)]] for t in involutions)
+        strong.update([orbit[index[y]] for y in codec.times(rows, table)])
     return strong
 
 

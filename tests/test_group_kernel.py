@@ -1,8 +1,11 @@
-"""The row-code kernel of the group path against plain matrix arithmetic.
+"""The packed-code kernel of the group path against plain matrix arithmetic
+and against the tuple codes it replaced.
 
-The references below use only linalg.mat_mul and linalg.mat_inv: a
+The matrix references use only linalg.mat_mul and linalg.mat_inv: a
 breadth-first closure over the generators, conjugacy orbits by generator
-conjugation, and the involution test s s = 1.
+conjugation, and the involution test s s = 1.  reference_tuple_code_group
+is the kernel as it ran on tuples of row codes, which must give the same
+closure order, permutations and orbits.
 """
 
 import functools
@@ -19,7 +22,7 @@ from strongreal.linalg import conj_transpose, identity, is_unitary, mat_inv, mat
 from strongreal.oracle import (
     _conjugation_orbits,
     _RowCodes,
-    _times,
+    _strongly_real_orbits,
     anti_diagonal,
     congruence_to_identity,
     enumerate_group,
@@ -27,6 +30,7 @@ from strongreal.oracle import (
     is_real_oracle,
     is_strongly_real_oracle,
     reconcile,
+    standard_forms,
     strong_reality_witnesses,
     unitary_order,
 )
@@ -52,10 +56,131 @@ def test_row_code_product_matches_mat_mul(data):
     entry = st.integers(0, codec.F.size - 1)
     matrix = st.tuples(*[st.tuples(*[entry] * n)] * n)
     a, b = data.draw(matrix), data.draw(matrix)
-    x = codec.encode(a)
+    x, y = codec.encode(a), codec.encode(b)
+    assert type(x) is int
     assert codec.decode(x) == a
-    assert codec.decode(_times(x, codec.table(b))) == mat_mul(codec.F, a, b)
-    assert codec.decode(codec.adjoint(x)) == conj_transpose(codec.F, a)
+    # codes sort like the matrices, rows compared first to last
+    assert (x < y) == (a < b)
+    [product] = codec.times(codec.split([x]), codec.table(b))
+    assert codec.decode(product) == mat_mul(codec.F, a, b)
+    [adjoint] = codec.adjoint(codec.split([x]))
+    assert codec.decode(adjoint) == conj_transpose(codec.F, a)
+
+
+class ReferenceTupleCodes:
+    """The tuple codes the packed ones replaced: a matrix as the tuple of its
+    row codes, a right-multiplication table by one mat_mul over every row,
+    and the adjoint by decoding, transposing and encoding again."""
+
+    def __init__(self, F, n):
+        self.F = F
+        self.rows = tuple(itertools.product(range(F.size), repeat=n))
+        self.code = {row: c for c, row in enumerate(self.rows)}
+        self.conj = [self.code[tuple(F.conj[a] for a in row)] for row in self.rows]
+        self.identity = self.encode(identity(n))
+
+    def encode(self, m):
+        return tuple([self.code[row] for row in m])
+
+    def decode(self, x):
+        return tuple([self.rows[c] for c in x])
+
+    def table(self, g):
+        return [self.code[row] for row in mat_mul(self.F, self.rows, g)]
+
+    def adjoint(self, x):
+        return tuple([self.conj[self.code[col]] for col in zip(*self.decode(x))])
+
+
+def reference_times(x, table):
+    return tuple([table[r] for r in x])
+
+
+def reference_tuple_code_group(n, pp, form):
+    """(decoded elements in closure order, right, inverse, conjugacy orbit
+    ids, strongly real orbit ids) by the tuple-code kernel: the closure one
+    element at a time over the same members, the inverse element by
+    element, orbits by a search over the conjugation moves, and strong
+    reality by one table per involution orbit."""
+    F = table_for(pp)
+    codec = ReferenceTupleCodes(F, n)
+    target = unitary_order(n, pp.q)
+    right, pairs = [], []
+    codes, index = [codec.identity], {codec.identity: 0}
+
+    def scan(xs, pairs):
+        for x in xs:
+            for table, perm in pairs:
+                y = reference_times(x, table)
+                j = index.get(y)
+                if j is None:
+                    j = index[y] = len(codes)
+                    codes.append(y)
+                perm.append(j)
+
+    for g in oracle._entrywise_members(F, n, form.gram):
+        if codec.encode(g) in index:
+            continue
+        found = len(codes)
+        right.append([])
+        pairs.append((codec.table(g), right[-1]))
+        scan(itertools.islice(codes, found), pairs[-1:])
+        scan(itertools.islice(codes, found, None), pairs)
+        if len(codes) >= target:
+            break
+    assert len(codes) == target
+    adjoint = codec.adjoint
+    if form.gram == identity(n):
+        inverse = [index[adjoint(x)] for x in codes]
+    else:
+        t_j, t_jinv = codec.table(form.gram), codec.table(mat_inv(F, form.gram))
+        inverse = [
+            index[adjoint(reference_times(adjoint(reference_times(adjoint(x), t_j)), t_jinv))]
+            for x in codes
+        ]
+
+    moves = [[inverse[r[inverse[ri]]] for ri in r] for r in right]
+    orbit, count = [-1] * len(codes), 0
+    for start in range(len(codes)):
+        if orbit[start] < 0:
+            orbit[start], stack = count, [start]
+            while stack:
+                x = stack.pop()
+                for move in moves:
+                    if orbit[move[x]] < 0:
+                        orbit[move[x]] = count
+                        stack.append(move[x])
+            count += 1
+
+    involutions = [i for i, j in enumerate(inverse) if i == j]
+    strong = set()
+    for s in {orbit[i]: i for i in involutions}.values():
+        table = codec.table(codec.decode(codes[s]))
+        strong.update(orbit[index[reference_times(codes[t], table)]] for t in involutions)
+    return [codec.decode(x) for x in codes], right, inverse, orbit, strong
+
+
+# (n, q, form index in standard_forms): every U(n <= 3, F_2), U(2, F_q) for
+# q <= 7, U(3, F_3), n = 0 and 1, and non-identity forms N_2, N_2 + I_1, N_3
+DIFFERENTIAL = (
+    [(0, 3, 0), (1, 3, 0), (1, 5, 0), (1, 2, 0), (2, 2, 0), (3, 2, 0), (3, 3, 0)]
+    + [(2, q, 0) for q in (3, 4, 5, 7)]
+    + [(2, 3, 1), (2, 7, 1), (3, 2, 1), (3, 2, 2), (3, 3, 2)]
+)
+
+
+@pytest.mark.parametrize("n,q,which", DIFFERENTIAL)
+def test_packed_codes_match_tuple_code_reference(n, q, which):
+    pp = prime_power(q)
+    form = standard_forms(n, pp)[which]
+    assert (form.gram == identity(n)) == (which == 0)
+    group = enumerate_group(n, pp, form)
+    elements, right, inverse, orbit, strong = reference_tuple_code_group(n, pp, form)
+    assert list(group.elements) == elements
+    assert group.right == right
+    assert group.inverse == inverse
+    assert _conjugation_orbits(group) == orbit
+    assert _strongly_real_orbits(group, orbit) == strong
 
 
 def _reference(F, group):
@@ -175,7 +300,7 @@ def test_kernel_matches_matrix_reference(n, q, antidiagonal):
 
 
 def test_verdicts_take_no_group():
-    # membership reads row codes; the verdict functions take no group, so a
+    # membership reads packed codes; the verdict functions take no group, so a
     # group passed to one, by position or by name, is a TypeError
     pp = prime_power(3)
     group = enumerate_group(2, pp)
@@ -187,6 +312,33 @@ def test_verdicts_take_no_group():
             verdict(identity(2), group.form, group)
         with pytest.raises(TypeError):
             verdict(identity(2), group.form, group=group)
+
+
+@pytest.mark.parametrize(
+    "g,member",
+    [
+        ([[1, 0], [0, 1]], True),  # rows as lists
+        ([(1, 0), [0, 1]], True),
+        (((0, 1), (1, 0)), True),
+        (((1, 0),), False),  # one row short
+        (((1, 0), (0, 1), (0, 0)), False),  # one row over
+        (((0, 1, 0), (0, 0, 1)), False),  # rows of 3, packed like the identity
+        (((1,), (0, 1)), False),
+        (((1, 0), (-1, 10)), False),  # entries outside 0 .. 8, packed like the identity
+        (((0, 9), (0, 1)), False),
+        (((1.0, 0), (0, 1)), False),  # not a field element's int
+    ],
+)
+def test_membership_takes_any_sequence_and_refuses_other_shapes(g, member):
+    # U(2, F_3): q^2 = 9, so a row code is below 81
+    group = enumerate_group(2, prime_power(3))
+    assert (g in group) is member
+
+
+def test_membership_at_n_0():
+    group = enumerate_group(0, prime_power(3))
+    assert () in group and [] in group
+    assert ((),) not in group
 
 
 @pytest.mark.parametrize("fault", ["merge", "split"])

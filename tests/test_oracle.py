@@ -37,7 +37,6 @@ from strongreal.oracle import (
     _representative_records,
     _representative_verdicts,
     _strongly_real_orbits,
-    _times,
     _unitary_members,
     anti_diagonal,
     enumerate_group,
@@ -421,13 +420,14 @@ def reference_group_reversers(group, g, involution):
     """Elements h of a materialized group with h g h^(-1) = g^(-1), lazily and
     in index order; only involutions if asked.  g must be an element."""
     assert g in group
-    codes, index, inverse = group.codes, group.index, group.inverse
-    table = group.codec.table(g)
+    codes, index, inverse, codec = group.codes, group.index, group.inverse, group.codec
+    table = codec.table(g)
     candidates = group.involution_indices if involution else range(group.order)
     # h g h^(-1) = g^(-1) iff (h g)(h^(-1) g) = 1
     for i in candidates:
-        if inverse[index[_times(codes[i], table)]] == index[_times(codes[inverse[i]], table)]:
-            yield group.codec.decode(codes[i])
+        hg, hinvg = codec.times(codec.split([codes[i], codes[inverse[i]]]), table)
+        if inverse[index[hg]] == index[hinvg]:
+            yield codec.decode(codes[i])
 
 
 def orbit_of(group, orbit, g):
